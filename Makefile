@@ -2,7 +2,7 @@
 
 .PHONY: ci lint test coverage test-differential bench bench-cache \
 	bench-parallel bench-sketches bench-service bench-topology \
-	bench-skew bench-kernels bench-cube
+	bench-skew bench-kernels bench-cube perfbench
 
 ci:
 	sh scripts/ci.sh all
@@ -75,3 +75,9 @@ bench-kernels:
 #   PYTHONPATH=src python benchmarks/bench_ext_cube.py
 bench-cube:
 	sh scripts/ci.sh bench-cube
+
+# The shared benchmark's own tests: small traced and untraced runs of
+# all three perfbench workloads (the full benchmark is
+# `python3 perfbench/run.py`, see perfbench/README.md).
+perfbench:
+	sh scripts/ci.sh perfbench

@@ -2,10 +2,12 @@
 
 The paper's future-work direction (Sect. 6), quantified: the same
 unoptimized two-round query over 16 and 32 sites, executed on the flat
-coordinator architecture and on balanced aggregation trees of fanout 4.
-The tree pre-merges sub-aggregates at interior nodes, so the bytes
-arriving at the root — and, under the parallel-subtree cost model, the
-response time at scale — grow much more slowly with the site count.
+coordinator architecture and on balanced aggregation trees of fanout 4
+(:class:`~repro.topology.TreeEngine`, every tree edge costed on its own
+star link).  The tree pre-merges sub-aggregates at interior nodes, so
+the bytes arriving at the root — and, under the parallel-subtree cost
+model, the response time at scale — grow much more slowly with the site
+count.
 """
 
 import pytest
@@ -13,10 +15,10 @@ import pytest
 from repro.bench.queries import correlated_query
 from repro.data.tpch import generate_tpcr
 from repro.distributed.engine import SkallaEngine
-from repro.distributed.hierarchy import HierarchicalEngine, TreeTopology
 from repro.distributed.messages import COORDINATOR
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import NO_OPTIMIZATIONS
+from repro.topology import TreeEngine, TreeTopology
 
 RELATION = generate_tpcr(num_rows=24_000, num_customers=3_000, seed=5)
 QUERY = correlated_query(["CustName"], "ExtendedPrice")
@@ -39,8 +41,8 @@ def _run(num_sites: int, fanout: int | None):
         root_bytes = result.metrics.bytes_to_coordinator
     else:
         topology = TreeTopology.balanced(sorted(partitions), fanout=fanout)
-        engine = HierarchicalEngine(partitions, topology)
-        result = engine.execute(QUERY, NO_OPTIMIZATIONS)
+        with TreeEngine(partitions, topology) as engine:
+            result = engine.execute(QUERY, NO_OPTIMIZATIONS)
         root_bytes = _root_inbound_bytes(result)
     return result, root_bytes
 

@@ -38,13 +38,12 @@ import sys
 from pathlib import Path
 
 from repro.core.builder import QueryBuilder, agg
-from repro.distributed.hierarchy import TreeTopology
 from repro.distributed.network import ComputeModel
 from repro.distributed.plan import OptimizationFlags
 from repro.relational.aggregates import count_star
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
-from repro.topology import TreeEngine, clustered_wan
+from repro.topology import TreeEngine, TreeTopology, clustered_wan
 
 SITES_FULL = [8, 64, 128, 256]
 SITES_SMOKE = [8, 64]

@@ -19,12 +19,12 @@ from pathlib import Path
 from repro.bench.queries import correlated_query
 from repro.data.tpch import generate_tpcr, nation_assignment
 from repro.distributed import (
-    NO_OPTIMIZATIONS, HierarchicalEngine, SkallaEngine, TreeTopology,
-    load_warehouse, partition_by_values, partition_round_robin,
-    save_warehouse)
+    NO_OPTIMIZATIONS, SkallaEngine, load_warehouse, partition_by_values,
+    partition_round_robin, save_warehouse)
 from repro.optimizer.cost import choose_flags, estimate_plan_cost
 from repro.optimizer.planner import build_plan
 from repro.relational.statistics import collect_stats, merge_stats
+from repro.topology import TreeEngine, TreeTopology
 
 
 def main() -> None:
@@ -74,16 +74,13 @@ def main() -> None:
     many = partition_round_robin(relation, 16)
     flat = SkallaEngine(many).execute(query, NO_OPTIMIZATIONS)
     topology = TreeTopology.balanced(sorted(many), fanout=4)
-    tree = HierarchicalEngine(many, topology).execute(query,
-                                                      NO_OPTIMIZATIONS)
+    with TreeEngine(many, topology) as tree_engine:
+        tree = tree_engine.execute(query, NO_OPTIMIZATIONS)
     assert tree.relation.multiset_equals(flat.relation)
     print(f"flat star: {flat.metrics.response_seconds:.2f}s, "
           f"{flat.metrics.bytes_to_coordinator:,} bytes into the root")
-    up_to_root = sum(m.total_bytes for m in tree.metrics.log.messages
-                     if m.description.endswith("root")
-                     and m.receiver == -1)
     print(f"tree     : {tree.metrics.response_seconds:.2f}s, "
-          f"{up_to_root:,} bytes into the root "
+          f"{tree.metrics.root_ingress_bytes:,} bytes into the root "
           f"(depth {topology.depth()})\n")
 
     # ---- 4. persistence -------------------------------------------------------

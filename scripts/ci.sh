@@ -48,10 +48,14 @@
 #                               on the wire, and serving slices from
 #                               the materialized ancestor, then
 #                               compared against the committed baseline
+#   scripts/ci.sh perfbench     the shared benchmark's own tests: small
+#                               traced and untraced runs of all three
+#                               workloads (fails if a layer hook the
+#                               tracer patches disappears)
 #   scripts/ci.sh all           lint + test + differential + bench +
 #                               bench-service + bench-topology +
 #                               bench-skew + bench-kernels + bench-cube
-#                               (the default)
+#                               + perfbench (the default)
 #
 # Exit code: non-zero as soon as any stage fails.
 
@@ -205,6 +209,15 @@ bench_cube() {
         benchmarks/results/ext_cube_ci.json
 }
 
+# The shared benchmark's tests (perfbench/): small traced and untraced
+# runs of every workload, oracle-checked.  The tracer patches the
+# program's layer entry points by name, so a renamed or deleted hook
+# fails here before it silently drops out of the per-layer numbers.
+perfbench() {
+    echo "== perfbench: benchmark tests =="
+    "$PYTHON" -m pytest perfbench/tests -q
+}
+
 stage=${1:-all}
 case "$stage" in
     lint)           lint ;;
@@ -217,11 +230,12 @@ case "$stage" in
     bench-skew)     bench_skew ;;
     bench-kernels)  bench_kernels ;;
     bench-cube)     bench_cube ;;
+    perfbench)      perfbench ;;
     all)            lint; tests; differential; bench; bench_service;
                     bench_topology; bench_skew; bench_kernels;
-                    bench_cube ;;
+                    bench_cube; perfbench ;;
     *)  echo "usage: scripts/ci.sh [lint|test|coverage|differential|" \
             "bench|bench-service|bench-topology|bench-skew|" \
-            "bench-kernels|bench-cube|all]" \
+            "bench-kernels|bench-cube|perfbench|all]" \
             >&2; exit 2 ;;
 esac

@@ -3,10 +3,10 @@
 A finer cuboid's *state relation* (key columns plus one
 ``<alias>__<primitive>`` column per aggregate state, as captured by the
 coordinator) is a complete sub-aggregate of every coarser cuboid whose
-attributes are a subset of its key: re-grouping the states on the
-coarser key and merging them with the same Theorem-1 super-aggregates
-the engine already uses yields the coarser cuboid exactly — counts and
-sums add, mins/maxes take min/max, Chan ``m2`` states combine, and
+attributes are a subset of its key: re-merging the states on the
+coarser key with the engine's own Theorem-1 merge
+(:func:`~repro.distributed.coordinator.merge_states`, keyed mode)
+yields the coarser cuboid exactly — counts and sums add, mins/maxes take min/max, Chan ``m2`` states combine, and
 HLL/KLL/Misra-Gries sketch states merge bytewise.  No detail tuple is
 touched and no distributed round runs.
 
@@ -22,10 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import QueryError
-from repro.relational.aggregates import (
-    AggregateSpec, merge_spec_states_grouped)
+from repro.relational.aggregates import AggregateSpec
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
+from repro.distributed.coordinator import merge_states
 
 
 def state_schema_for(key: Sequence[str],
@@ -55,36 +55,10 @@ def rollup_states(states: Relation,
         raise QueryError(
             f"cannot roll up to {tuple(to_key)!r}: {missing!r} not in "
             f"the source cuboid key {tuple(from_key)!r}")
-    num_rows = states.num_rows
-    if to_key:
-        codes = states.row_group_codes(list(to_key))
-        if num_rows:
-            # codes are dense, numbered by first appearance —
-            # ``first[c]`` is the first row holding code ``c``.
-            __, first = np.unique(codes, return_index=True)
-        else:
-            first = np.empty(0, dtype=np.int64)
-        num_groups = len(first)
-    else:
-        codes = np.zeros(num_rows, dtype=np.int64)
-        first = np.empty(0, dtype=np.int64)
-        num_groups = 1
-
-    merged: dict[str, np.ndarray] = {}
-    attrs: list[Attribute] = [states.schema[name] for name in to_key]
-    columns: dict[str, np.ndarray] = {
-        name: states.column(name)[first] for name in to_key}
-    for spec in aggregates:
-        fields = spec.state_fields(detail_schema)
-        state_columns = {field.name: states.column(field.name)
-                         for field in fields}
-        per_group = merge_spec_states_grouped(
-            spec, detail_schema, codes, state_columns, num_groups)
-        for field in fields:
-            merged[field.name] = per_group[field.name]
-            attrs.append(Attribute(field.name, field.dtype))
-    columns.update(merged)
-    return Relation(Schema(attrs), columns)
+    state_names = [field.name for spec in aggregates
+                   for field in spec.state_fields(detail_schema)]
+    return merge_states([states.project([*to_key, *state_names])],
+                        to_key, aggregates, detail_schema)
 
 
 def finalize_states_relation(states: Relation,

@@ -1,12 +1,9 @@
 """The Skalla distributed engine: simulated cluster, coordinator/site
 protocol, partitioning with distribution knowledge, plans, and metrics."""
 
-from repro.distributed.coordinator import Coordinator
+from repro.distributed.coordinator import Coordinator, merge_states
 from repro.distributed.engine import ExecutionResult, SkallaEngine
 from repro.distributed.explain import explain_analyze
-from repro.distributed.hierarchy import (
-    AGGREGATOR, HierarchicalEngine, TreeNode, TreeTopology,
-    combine_states_by_key)
 from repro.distributed.messages import (
     CONTROL_MESSAGE_BYTES, COORDINATOR, ENVELOPE_BYTES, Message, MessageLog,
     SiteId, control_message, relation_message)
@@ -30,8 +27,7 @@ from repro.distributed.storage import (
 
 __all__ = [
     "Coordinator", "ExecutionResult", "SkallaEngine", "explain_analyze",
-    "AGGREGATOR", "HierarchicalEngine", "TreeNode", "TreeTopology",
-    "combine_states_by_key",
+    "merge_states",
     "CONTROL_MESSAGE_BYTES", "COORDINATOR", "ENVELOPE_BYTES", "Message",
     "MessageLog", "SiteId", "control_message", "relation_message",
     "PhaseMetrics", "QueryMetrics",

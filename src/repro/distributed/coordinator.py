@@ -11,6 +11,9 @@ min/max), and the merged states are finalized into user-visible columns.
 The merge is O(|H|) — a dense group-coding pass plus vectorized
 scatter-reductions — matching the paper's remark that the structure is
 indexed on K and synchronization runs in time linear in |H|.
+:func:`merge_states` is that merge, and the only one: partial
+synchronization at tree aggregators, cache delta maintenance and cube
+rollup apply the same function keyed on K (or on a coarser key).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from repro.errors import PlanError
 from repro.relational.aggregates import (
-    merge_spec_states_grouped, place_grouped)
+    AggregateSpec, merge_spec_states_grouped, place_grouped)
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.core.evaluator import finalize_states, match_codes
@@ -75,65 +78,31 @@ class Coordinator:
         sub-results onto the base attributes — no base round happened.
         """
         started = time.perf_counter()
-        sub_results = [h for h in sub_results]
-        combined = (Relation.concat(sub_results) if sub_results
-                    else None)
-
         if step.include_base:
-            base_names = self.base_schema.names
-            if combined is None or combined.num_rows == 0:
-                base = Relation.empty(self.base_schema)
+            sub_results = ([Relation.concat(list(sub_results))]
+                           if sub_results else [])
+            if sub_results and sub_results[0].num_rows:
+                base = sub_results[0].project(
+                    self.base_schema.names).distinct()
             else:
-                base = combined.project(base_names).distinct()
+                base = Relation.empty(self.base_schema)
         else:
             if self.result is None:
                 raise PlanError("synchronize_step before the base round")
             base = self.result
 
-        if combined is not None and combined.num_rows > 0:
-            base_codes, h_codes, num_groups = match_codes(
-                base, self.key, combined, self.key)
-        else:
-            base_codes = np.full(base.num_rows, -1, dtype=np.int64)
-            h_codes = np.empty(0, dtype=np.int64)
-            num_groups = 0
-        matched = base_codes >= 0
-        gather = np.where(matched, base_codes, 0)
-
+        states = merge_states(sub_results, self.key, step.aggregates,
+                              self.detail_schema, onto=base)
+        state_columns = states.columns()
         current = base
-        state_attrs: list[Attribute] = []
-        state_columns: dict[str, np.ndarray] = {}
         for gmdj in step.gmdjs:
-            merged_states: dict[str, np.ndarray] = {}
-            for spec in gmdj.all_aggregates:
-                fields = spec.state_fields(self.detail_schema)
-                if num_groups and combined is not None:
-                    columns = {field.name: combined.column(field.name)
-                               for field in fields}
-                    per_group = merge_spec_states_grouped(
-                        spec, self.detail_schema, h_codes, columns,
-                        num_groups)
-                else:
-                    per_group = {field.name: None for field in fields}
-                for field in fields:
-                    merged_states[field.name] = place_grouped(
-                        field, per_group[field.name], matched, gather,
-                        base.num_rows)
-                    state_attrs.append(Attribute(field.name, field.dtype))
-            state_columns.update(merged_states)
-            finalized = finalize_states(gmdj, merged_states,
+            finalized = finalize_states(gmdj, state_columns,
                                         self.detail_schema)
             current = current.append_columns(
                 [spec.output_attribute(self.detail_schema)
                  for spec in gmdj.all_aggregates],
                 finalized)
-
-        key_names = [name for name in self.key]
-        self.state_relation = Relation(
-            Schema([*(base.schema[name] for name in key_names),
-                    *state_attrs]),
-            {**{name: base.column(name) for name in key_names},
-             **state_columns})
+        self.state_relation = states
         self.result = current
         return current, time.perf_counter() - started
 
@@ -141,6 +110,95 @@ class Coordinator:
         if self.result is None:
             raise PlanError("no result yet: the plan has not been executed")
         return self.result
+
+
+def merge_states(sub_results: Sequence[Relation], key: Sequence[str],
+                 aggregates: Sequence[AggregateSpec], detail_schema: Schema,
+                 onto: Relation | None = None) -> Relation:
+    """Theorem 1's merge: sub-aggregate states matched on ``key``.
+
+    Every synchronization in the engine goes through this function —
+    the coordinator, interior tree aggregators, virtual sub-site
+    merges, cache delta maintenance, streaming synchronization and cube
+    rollup.  State columns (one per field of each spec in
+    ``aggregates``) merge with the primitive's super-aggregate: counts
+    and sums add, mins/maxes take min/max, Chan ``m2`` states combine
+    and sketch states merge bytewise.  Rows of one key merge in input
+    order, so float sums are reproducible.
+
+    * **Onto X** (``onto`` given): the result has one row per ``onto``
+      row — its ``key`` columns followed by the merged state columns.
+      Rows match on ``key`` via :func:`match_codes`; an ``onto`` row no
+      sub-aggregate matches gets the primitives' empty states.
+    * **Keyed** (``onto`` omitted): the result has one row per distinct
+      ``key`` in first-appearance order, with the input's schema.
+      Non-state columns (the base attributes an ``include_base`` step
+      carries) come from each key's first row — they are functionally
+      determined by it.  An empty ``key`` gives one grand-total row,
+      even over empty input.
+    """
+    if onto is None and not sub_results:
+        raise PlanError("no sub-aggregates to merge")
+    live = [relation for relation in sub_results if relation.num_rows]
+    if len(live) > 1:
+        combined = Relation.concat(live)
+    elif live:
+        combined = live[0]
+    else:
+        combined = sub_results[0] if onto is None else None
+    spec_fields = [(spec, spec.state_fields(detail_schema))
+                   for spec in aggregates]
+    state_fields = [field for __, fields in spec_fields for field in fields]
+
+    if onto is None:
+        if key:
+            codes = combined.row_group_codes(list(key))
+            # codes number groups by first appearance, so a row opens a
+            # group exactly when its code exceeds every earlier one
+            opens = np.ones(len(codes), dtype=bool)
+            opens[1:] = codes[1:] > np.maximum.accumulate(codes)[:-1]
+            first = np.flatnonzero(opens)
+            num_groups = len(first)
+        else:
+            codes = np.zeros(combined.num_rows, dtype=np.int64)
+            first = np.zeros(min(combined.num_rows, 1), dtype=np.int64)
+            num_groups = 1
+        num_rows = num_groups
+        matched = np.ones(num_rows, dtype=bool)
+        gather = np.arange(num_rows)
+        schema = combined.schema
+        state_names = {field.name for field in state_fields}
+        columns = {name: combined.column(name)[first]
+                   for name in schema.names if name not in state_names}
+    else:
+        if combined is not None:
+            base_codes, codes, num_groups = match_codes(
+                onto, key, combined, key)
+        else:
+            base_codes = np.full(onto.num_rows, -1, dtype=np.int64)
+            num_groups = 0
+        num_rows = onto.num_rows
+        matched = base_codes >= 0
+        gather = np.where(matched, base_codes, 0)
+        schema = Schema([*(onto.schema[name] for name in key),
+                         *(Attribute(field.name, field.dtype)
+                           for field in state_fields)])
+        columns = {name: onto.column(name) for name in key}
+
+    for spec, fields in spec_fields:
+        if num_groups:
+            per_group = merge_spec_states_grouped(
+                spec, detail_schema, codes,
+                {field.name: combined.column(field.name)
+                 for field in fields},
+                num_groups)
+        else:
+            per_group = dict.fromkeys(
+                (field.name for field in fields), None)
+        for field in fields:
+            columns[field.name] = place_grouped(
+                field, per_group[field.name], matched, gather, num_rows)
+    return Relation(schema, columns)
 
 
 class IncrementalSynchronizer:
@@ -165,15 +223,13 @@ class IncrementalSynchronizer:
 
     def absorb(self, sub_result: Relation) -> float:
         """Merge one site's sub-result; returns the merge seconds."""
-        from repro.distributed.hierarchy import combine_states_by_key
         started = time.perf_counter()
         if self._accumulator is None:
             self._accumulator = sub_result
         else:
-            self._accumulator = combine_states_by_key(
-                [self._accumulator, sub_result],
-                self.coordinator.key, self.step.gmdjs,
-                self.coordinator.detail_schema)
+            self._accumulator = merge_states(
+                [self._accumulator, sub_result], self.coordinator.key,
+                self.step.aggregates, self.coordinator.detail_schema)
         return time.perf_counter() - started
 
     def finish(self) -> tuple[Relation, float]:

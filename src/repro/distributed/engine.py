@@ -49,7 +49,8 @@ from repro.relational.relation import Relation
 from repro.cache import DELTA, HIT, MISS, SubAggregateCache
 from repro.cache.manager import CacheDecision
 from repro.core.expression_tree import GmdjExpression, RelationBase
-from repro.distributed.coordinator import Coordinator
+from repro.distributed.coordinator import (
+    Coordinator, IncrementalSynchronizer, merge_states)
 from repro.distributed.messages import (
     CONTROL_MESSAGE_BYTES, COORDINATOR, ENVELOPE_BYTES, SiteId,
     control_message, relation_message)
@@ -105,7 +106,6 @@ class SkallaEngine:
                  site_slowdowns: Mapping[SiteId, float] | None = None,
                  max_retries: int = 2,
                  compute_model: ComputeModel | None = None,
-                 parallel_sites: bool = False,
                  transport: "str | Transport | None" = None,
                  retry_policy: RetryPolicy | None = None,
                  transport_options: Mapping[str, object] | None = None,
@@ -135,18 +135,14 @@ class SkallaEngine:
         self.max_retries = max_retries
         #: deterministic compute-time model (None = measure wall clock)
         self.compute_model = compute_model
-        #: legacy switch: thread-pool site evaluation.  Equivalent to
-        #: ``transport="thread"``; kept for backward compatibility.
-        self.parallel_sites = parallel_sites
         #: per-engine retry/backoff/deadline policy handed to the
         #: transport (``max_retries`` fills the budget when no explicit
         #: policy is given).  Per-engine state: two engines retrying
         #: concurrently never share a lock or a counter.
         self.retry_policy = retry_policy or RetryPolicy(
             max_retries=max_retries)
-        if transport is None:
-            transport = "thread" if parallel_sites else DEFAULT_TRANSPORT
-        self._transport_spec = transport
+        self._transport_spec = (DEFAULT_TRANSPORT if transport is None
+                                else transport)
         self._transport_options = dict(transport_options or {})
         #: bound on concurrently dispatched site calls per round
         #: (``None`` = backend default; 1 forces sequential dispatch).
@@ -1005,8 +1001,6 @@ class SkallaEngine:
         cache population, uplink accounting, synchronization, tree
         ascent — sees one response per physical site, as always.
         """
-        # Imported here: hierarchy imports this module (ExecutionResult).
-        from repro.distributed.hierarchy import combine_states_by_key
         expanded_ids = {virtual_id for virtual_ids in expansion.values()
                         for virtual_id in virtual_ids}
         merged: dict[SiteId, SiteResponse] = {
@@ -1019,8 +1013,9 @@ class SkallaEngine:
             if request.kind == "base":
                 relation = Relation.concat(relations).distinct()
             else:
-                relation = combine_states_by_key(
-                    relations, key, request.step.gmdjs, self.detail_schema)
+                relation = merge_states(
+                    relations, key, request.step.aggregates,
+                    self.detail_schema)
             part_bytes = [part.relation.wire_bytes() for part in parts]
             phase.rebalanced_bytes += sum(part_bytes) - max(part_bytes)
             merged[parent] = SiteResponse(
@@ -1048,7 +1043,6 @@ class SkallaEngine:
         * ``coordinator``     — merge work extending past the last
           arrival, plus the final placement/finalization.
         """
-        from repro.distributed.coordinator import IncrementalSynchronizer
         synchronizer = IncrementalSynchronizer(coordinator, step)
         order = sorted(range(len(sub_results)),
                        key=lambda position: site_seconds[position])

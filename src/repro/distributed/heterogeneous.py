@@ -27,17 +27,13 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.errors import PlanError, QueryError, SchemaError
-from repro.relational.aggregates import (
-    merge_spec_states_grouped, place_grouped)
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.core.evaluator import (
-    STATES, evaluate_gmdj, finalize_states, match_codes)
+from repro.core.evaluator import STATES, evaluate_gmdj, finalize_states
 from repro.core.expression_tree import ProjectionBase
 from repro.core.gmdj import Gmdj
+from repro.distributed.coordinator import merge_states
 from repro.distributed.messages import (
     COORDINATOR, MessageLog, SiteId, control_message, relation_message)
 from repro.distributed.metrics import PhaseMetrics, QueryMetrics
@@ -218,32 +214,9 @@ class HeterogeneousEngine:
     def _synchronize(base: Relation, sub_results: Sequence[Relation],
                      key: Sequence[str], gmdj: Gmdj,
                      detail_schema: Schema) -> Relation:
-        live = [h for h in sub_results if h.num_rows]
-        combined = Relation.concat(live) if live else None
-        if combined is not None:
-            base_codes, h_codes, groups = match_codes(base, key,
-                                                      combined, key)
-        else:
-            base_codes = np.full(base.num_rows, -1, dtype=np.int64)
-            h_codes = np.empty(0, dtype=np.int64)
-            groups = 0
-        matched = base_codes >= 0
-        gather = np.where(matched, base_codes, 0)
-        merged_states = {}
-        for spec in gmdj.all_aggregates:
-            fields = spec.state_fields(detail_schema)
-            if groups and combined is not None:
-                spec_columns = {field.name: combined.column(field.name)
-                                for field in fields}
-                per_group = merge_spec_states_grouped(
-                    spec, detail_schema, h_codes, spec_columns, groups)
-            else:
-                per_group = {field.name: None for field in fields}
-            for field in fields:
-                merged_states[field.name] = place_grouped(
-                    field, per_group[field.name], matched, gather,
-                    base.num_rows)
-        finalized = finalize_states(gmdj, merged_states, detail_schema)
+        states = merge_states(sub_results, key, gmdj.all_aggregates,
+                              detail_schema, onto=base)
+        finalized = finalize_states(gmdj, states.columns(), detail_schema)
         return base.append_columns(
             [spec.output_attribute(detail_schema)
              for spec in gmdj.all_aggregates],

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import PlanError
+from repro.relational.aggregates import AggregateSpec
 from repro.relational.expressions import Expr
 from repro.core.expression_tree import GmdjExpression
 from repro.core.gmdj import Gmdj
@@ -86,6 +87,11 @@ class LocalStep:
     @property
     def num_gmdjs(self) -> int:
         return len(self.gmdjs)
+
+    @property
+    def aggregates(self) -> list[AggregateSpec]:
+        """Every GMDJ's aggregate specs, in state-column order."""
+        return [spec for gmdj in self.gmdjs for spec in gmdj.all_aggregates]
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Link-aware aggregation trees (the paper's Sect. 6 future work).
 
-Three pieces, layered:
+Four pieces, layered:
 
+* :mod:`repro.topology.tree` — :class:`TreeTopology`, the aggregation
+  tree's shape (interior aggregator nodes over site ids);
 * :mod:`repro.topology.model` — a WAN as a weighted site graph
   (per-link latency/bandwidth, regions) plus the clustered generators
   the benchmarks sweep;
@@ -21,12 +23,16 @@ from repro.topology.builder import (
 from repro.topology.executor import AggregatorFaultSpec, TreeEngine
 from repro.topology.model import (
     REFERENCE_BYTES, WanLink, WanTopology, clustered_wan)
+from repro.topology.tree import AGGREGATOR, TreeNode, TreeTopology
 
 __all__ = [
+    "AGGREGATOR",
     "AggregatorFaultSpec",
     "REFERENCE_BYTES",
     "TreeBuild",
     "TreeEngine",
+    "TreeNode",
+    "TreeTopology",
     "WanLink",
     "WanTopology",
     "build_cost_tree",

@@ -18,7 +18,7 @@ spanning-tree protocol (setup / connect / route):
    cheapest uplinks — expensive long-hauls are used only when nothing
    else reaches the root.
 3. **route** — the parent map is folded into a
-   :class:`~repro.distributed.hierarchy.TreeTopology`: a site whose
+   :class:`~repro.topology.tree.TreeTopology`: a site whose
    children are empty becomes a leaf; a site with children becomes an
    interior aggregator *hosted on that site* (``TreeNode.host``), so an
    interior node merges its own sub-aggregate with its children's
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import PlanError
-from repro.distributed.hierarchy import TreeNode, TreeTopology
+from repro.topology.tree import TreeNode, TreeTopology
 from repro.distributed.messages import COORDINATOR, SiteId
 from repro.topology.model import WanTopology
 

@@ -15,9 +15,9 @@ from repro.relational.relation import Relation
 from repro.core.builder import QueryBuilder, agg
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.faults import FlakySite
-from repro.distributed.hierarchy import HierarchicalEngine, TreeTopology
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import ALL_OPTIMIZATIONS, OptimizationFlags
+from repro.topology import TreeEngine, TreeTopology
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +68,12 @@ class TestHierarchyPlusReduction:
     def test_tree_with_independent_reduction_traffic(self, detail):
         partitions = partition_round_robin(detail, 8)
         topology = TreeTopology.balanced(sorted(partitions), fanout=3)
-        engine = HierarchicalEngine(partitions, topology)
         query = make_query()
         reference = query.evaluate_centralized(detail)
-        plain = engine.execute(query, OptimizationFlags())
-        reduced = engine.execute(
-            query, OptimizationFlags(group_reduction_independent=True))
+        with TreeEngine(partitions, topology) as engine:
+            plain = engine.execute(query, OptimizationFlags())
+            reduced = engine.execute(
+                query, OptimizationFlags(group_reduction_independent=True))
         assert plain.relation.multiset_equals(reference)
         assert reduced.relation.multiset_equals(reference)
         up_plain, __ = plain.metrics.log.rows_by_direction()

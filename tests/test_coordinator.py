@@ -10,7 +10,9 @@ from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
 from repro.core.expression_tree import GmdjExpression, ProjectionBase
 from repro.core.gmdj import Gmdj
-from repro.distributed.coordinator import Coordinator
+from repro.core.evaluator import STATES, evaluate_gmdj
+from repro.distributed.coordinator import Coordinator, merge_states
+from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import LocalStep
 from repro.distributed.site import SkallaSite
 
@@ -99,6 +101,112 @@ class TestStepSync:
         merged, __ = coordinator.synchronize_step(step, [])
         assert merged.num_rows == 0
         assert merged.schema.names == ("g", "n", "m")
+
+
+def _merges_by_key():
+    detail_schema = Relation.from_dicts([{"g": 1, "v": 1.0}]).schema
+    inputs = [
+        states([{"g": 1, "n__count": 2, "m__sum": 10.0, "m__count": 2}]),
+        states([{"g": 1, "n__count": 3, "m__sum": 5.0, "m__count": 3},
+                {"g": 2, "n__count": 1, "m__sum": 7.0, "m__count": 1}])]
+    expected = states([
+        {"g": 1, "n__count": 5, "m__sum": 15.0, "m__count": 5},
+        {"g": 2, "n__count": 1, "m__sum": 7.0, "m__count": 1}])
+    return (inputs, ["g"], make_expression().rounds[0].all_aggregates,
+            detail_schema, expected)
+
+
+def _empty_input():
+    empty = states([{"g": 1, "n__count": 1}]).head(0)
+    detail_schema = Relation.from_dicts([{"g": 1}]).schema
+    return [empty], ["g"], [count_star("n")], detail_schema, empty
+
+
+def _carried_first_row():
+    # include_base sub-results carry base attributes next to the key
+    detail_schema = Relation.from_dicts([{"g": 1}]).schema
+    inputs = [states([{"g": 2, "name": "b", "n__count": 1},
+                      {"g": 1, "name": "a", "n__count": 2}]),
+              states([{"g": 1, "name": "z", "n__count": 3},
+                      {"g": 3, "name": "c", "n__count": 0}])]
+    expected = states([{"g": 2, "name": "b", "n__count": 1},
+                       {"g": 1, "name": "a", "n__count": 5},
+                       {"g": 3, "name": "c", "n__count": 0}])
+    return inputs, ["g"], [count_star("n")], detail_schema, expected
+
+
+def _grand_total_over_empty():
+    detail_schema = Relation.from_dicts([{"g": 1, "v": 1.0}]).schema
+    empty = states([{"n__count": 1, "m__sum": 1.0, "m__count": 1}]).head(0)
+    expected = states([{"n__count": 0, "m__sum": 0.0, "m__count": 0}])
+    return ([empty], [], make_expression().rounds[0].all_aggregates,
+            detail_schema, expected)
+
+
+def _sketch_trailing_nul():
+    detail = Relation.from_dicts([
+        {"g": i % 3, "v": float(i % 7)} for i in range(60)])
+    gmdj = Gmdj.single([AggregateSpec("approx_count_distinct", "v", "d")],
+                       r.g == b.g)
+    base = detail.distinct(["g"])
+    inputs = [evaluate_gmdj(gmdj, base, part, output=STATES)
+              for part in partition_round_robin(detail, 4).values()]
+    # HLL union is exact: the merge equals the sketch of all rows
+    expected = evaluate_gmdj(gmdj, base, detail, output=STATES)
+    assert all(state.endswith(b"\x00")
+               for state in expected.column("d__hll12"))
+    return inputs, ["g"], gmdj.all_aggregates, detail.schema, expected
+
+
+def _nan_keys():
+    detail_schema = Relation.from_dicts([{"g": 1.0}]).schema
+    inputs = [states([{"g": math.nan, "n__count": 1},
+                      {"g": 1.0, "n__count": 2}]),
+              states([{"g": math.nan, "n__count": 4}])]
+    expected = states([{"g": math.nan, "n__count": 5},
+                       {"g": 1.0, "n__count": 2}])
+    return inputs, ["g"], [count_star("n")], detail_schema, expected
+
+
+MERGE_CASES = {
+    "merges_by_key": _merges_by_key,
+    "empty_input": _empty_input,
+    "carried_first_row": _carried_first_row,
+    "grand_total_over_empty": _grand_total_over_empty,
+    "sketch_trailing_nul": _sketch_trailing_nul,
+    "nan_keys": _nan_keys,
+}
+
+
+def assert_identical(actual: Relation, expected: Relation) -> None:
+    """Same schema, same row order, bit-identical column values."""
+    assert actual.schema == expected.schema
+    for name in expected.schema.names:
+        got, want = actual.column(name), expected.column(name)
+        assert got.dtype == want.dtype, name
+        if want.dtype == object:
+            assert list(got) == list(want), name
+        else:
+            assert got.tobytes() == want.tobytes(), name
+
+
+class TestMergeStates:
+    """The one Theorem-1 merge, keyed and onto a structure X."""
+
+    @pytest.mark.parametrize("case", list(MERGE_CASES))
+    def test_merge_states(self, case):
+        inputs, key, aggregates, detail_schema, expected = \
+            MERGE_CASES[case]()
+        merged = merge_states(inputs, key, aggregates, detail_schema)
+        assert_identical(merged, expected)
+        if key:
+            # onto X = the keyed result's own keys: both modes agree
+            state_names = [field.name for spec in aggregates
+                           for field in spec.state_fields(detail_schema)]
+            placed = merge_states(inputs, key, aggregates, detail_schema,
+                                  onto=merged.project(key))
+            assert_identical(placed,
+                             merged.project([*key, *state_names]))
 
 
 class TestSiteCoordinatorRoundTrip:

@@ -1,19 +1,21 @@
-"""Tests for the multi-tier coordinator architecture."""
+"""Tests for the multi-tier coordinator architecture (aggregation trees).
+
+The keyed Theorem-1 merge the interior aggregators apply is tested
+directly in ``tests/test_coordinator.py::TestMergeStates``.
+"""
 
 import pytest
 
 from repro.errors import PlanError
-from repro.relational.aggregates import AggregateSpec, count_star
+from repro.relational.aggregates import count_star
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
 from repro.core.builder import QueryBuilder, agg
-from repro.core.gmdj import Gmdj
 from repro.distributed.engine import SkallaEngine
-from repro.distributed.hierarchy import (
-    HierarchicalEngine, TreeNode, TreeTopology, combine_states_by_key)
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import (
     ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS, OptimizationFlags)
+from repro.topology import TreeEngine, TreeNode, TreeTopology
 
 
 def make_query():
@@ -39,7 +41,7 @@ class TestTopology:
     def test_balanced_covers_all_sites(self):
         topology = TreeTopology.balanced(list(range(16)), fanout=4)
         assert sorted(topology.sites()) == list(range(16))
-        topology.validate_disjoint()
+        assert len(set(topology.sites())) == len(topology.sites())
         assert topology.depth() == 2
 
     def test_balanced_deeper(self):
@@ -85,35 +87,6 @@ class TestTopology:
             TreeNode("empty")
 
 
-class TestCombineStates:
-    def test_merges_by_key(self):
-        schema_rows_a = [{"g": 1, "n__count": 2, "m__sum": 10.0,
-                          "m__count": 2}]
-        schema_rows_b = [{"g": 1, "n__count": 3, "m__sum": 5.0,
-                          "m__count": 3},
-                         {"g": 2, "n__count": 1, "m__sum": 7.0,
-                          "m__count": 1}]
-        gmdj = Gmdj.single([count_star("n"), AggregateSpec("avg", "v", "m")],
-                           r.g == b.g)
-        detail_schema = Relation.from_dicts([{"g": 1, "v": 1.0}]).schema
-        merged = combine_states_by_key(
-            [Relation.from_dicts(schema_rows_a),
-             Relation.from_dicts(schema_rows_b)],
-            ["g"], [gmdj], detail_schema)
-        rows = {row["g"]: row for row in merged.to_dicts()}
-        assert rows[1]["n__count"] == 5
-        assert rows[1]["m__sum"] == pytest.approx(15.0)
-        assert rows[2]["n__count"] == 1
-
-    def test_empty_inputs_pass_through(self):
-        relation = Relation.from_dicts([{"g": 1, "n__count": 1}]).head(0)
-        gmdj = Gmdj.single([count_star("n")], r.g == b.g)
-        detail_schema = Relation.from_dicts([{"g": 1}]).schema
-        merged = combine_states_by_key([relation], ["g"], [gmdj],
-                                       detail_schema)
-        assert merged.num_rows == 0
-
-
 class TestEquivalence:
     @pytest.mark.parametrize("fanout", [2, 4])
     @pytest.mark.parametrize("flags", [
@@ -125,18 +98,18 @@ class TestEquivalence:
     def test_tree_matches_centralized(self, detail, partitions, fanout,
                                       flags):
         topology = TreeTopology.balanced(sorted(partitions), fanout=fanout)
-        engine = HierarchicalEngine(partitions, topology)
         query = make_query()
         reference = query.evaluate_centralized(detail)
-        result = engine.execute(query, flags)
+        with TreeEngine(partitions, topology) as engine:
+            result = engine.execute(query, flags)
         assert result.relation.multiset_equals(reference)
 
     def test_tree_matches_flat_engine(self, detail, partitions):
         query = make_query()
         flat = SkallaEngine(partitions).execute(query, NO_OPTIMIZATIONS)
         topology = TreeTopology.balanced(sorted(partitions), fanout=4)
-        tree = HierarchicalEngine(partitions, topology).execute(
-            query, NO_OPTIMIZATIONS)
+        with TreeEngine(partitions, topology) as engine:
+            tree = engine.execute(query, NO_OPTIMIZATIONS)
         assert tree.relation.multiset_equals(flat.relation)
 
     def test_with_distribution_knowledge(self, detail):
@@ -144,10 +117,10 @@ class TestEquivalence:
         values = {site: [site] for site in range(17)}
         parts, info = partition_by_values(detail, "g", values)
         topology = TreeTopology.balanced(sorted(parts), fanout=4)
-        engine = HierarchicalEngine(parts, topology, info)
         query = make_query()
         reference = query.evaluate_centralized(detail)
-        result = engine.execute(query, ALL_OPTIMIZATIONS)
+        with TreeEngine(parts, topology, info=info) as engine:
+            result = engine.execute(query, ALL_OPTIMIZATIONS)
         assert result.relation.multiset_equals(reference)
         assert result.metrics.num_synchronizations == 1
 
@@ -160,8 +133,8 @@ class TestCostProfile:
         flat_result = SkallaEngine(partitions).execute(query,
                                                        NO_OPTIMIZATIONS)
         topology = TreeTopology.balanced(sorted(partitions), fanout=4)
-        tree_result = HierarchicalEngine(partitions, topology).execute(
-            query, NO_OPTIMIZATIONS)
+        with TreeEngine(partitions, topology) as engine:
+            tree_result = engine.execute(query, NO_OPTIMIZATIONS)
 
         def root_inbound(log):
             from repro.distributed.messages import COORDINATOR
@@ -175,8 +148,8 @@ class TestCostProfile:
 
     def test_metrics_populated(self, detail, partitions):
         topology = TreeTopology.balanced(sorted(partitions), fanout=4)
-        result = HierarchicalEngine(partitions, topology).execute(
-            make_query(), NO_OPTIMIZATIONS)
+        with TreeEngine(partitions, topology) as engine:
+            result = engine.execute(make_query(), NO_OPTIMIZATIONS)
         metrics = result.metrics
         assert metrics.response_seconds > 0
         assert metrics.communication_seconds > 0
@@ -187,10 +160,10 @@ class TestErrors:
     def test_unknown_site_in_topology(self, partitions):
         topology = TreeTopology(TreeNode("root", (0, 99), ()))
         with pytest.raises(PlanError, match="unknown sites"):
-            HierarchicalEngine(partitions, topology)
+            TreeEngine(partitions, topology)
 
     def test_schema_mismatch(self, detail):
         other = detail.project(["g"])
         topology = TreeTopology.flat([0, 1])
         with pytest.raises(Exception):
-            HierarchicalEngine({0: detail, 1: other}, topology)
+            TreeEngine({0: detail, 1: other}, topology)

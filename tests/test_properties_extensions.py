@@ -22,8 +22,8 @@ from repro.core.gmdj import Gmdj
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.heterogeneous import (
     HeterogeneousEngine, HeterogeneousQuery, HeterogeneousRound)
-from repro.distributed.hierarchy import HierarchicalEngine, TreeTopology
 from repro.distributed.plan import ALL_OPTIMIZATIONS, NO_OPTIMIZATIONS
+from repro.topology import TreeEngine, TreeTopology
 
 DETAIL_SCHEMA = Schema.of(("g", DataType.INT64), ("v", DataType.FLOAT64))
 
@@ -58,10 +58,10 @@ class TestHierarchyProperties:
         partitions = {site: detail.filter(assignment == site)
                       for site in range(num_sites)}
         topology = TreeTopology.balanced(sorted(partitions), fanout)
-        engine = HierarchicalEngine(partitions, topology)
         query = simple_query()
         reference = query.evaluate_centralized(detail)
-        result = engine.execute(query, NO_OPTIMIZATIONS)
+        with TreeEngine(partitions, topology) as engine:
+            result = engine.execute(query, NO_OPTIMIZATIONS)
         assert result.relation.multiset_equals(reference)
 
 

@@ -15,6 +15,7 @@ from repro.core.builder import QueryBuilder, agg
 from repro.core.coalesce import coalesce_adjacent
 from repro.core.evaluator import STATES, evaluate_gmdj, finalize_states
 from repro.core.gmdj import Gmdj
+from repro.distributed.coordinator import merge_states
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import (
     partition_by_values, partition_round_robin)
@@ -50,9 +51,8 @@ class TestTheorem1:
         sub_results = [evaluate_gmdj(gmdj, base, part, output=STATES)
                        for part in parts.values()]
         # merge (⊔ then keyed super-aggregation)
-        from repro.distributed.hierarchy import combine_states_by_key
-        merged = combine_states_by_key(sub_results, ["g"], [gmdj],
-                                       detail.schema)
+        merged = merge_states(sub_results, ["g"], gmdj.all_aggregates,
+                              detail.schema)
         finalized = finalize_states(
             gmdj, {name: merged.column(name)
                    for name in merged.schema.names if "__" in name},
@@ -135,7 +135,6 @@ class TestProposition1:
         gmdj = md([count_star("n"), agg("max", "v", "hi")], r.g == b.g)
         base = detail.distinct(["g"])
         parts = partition_round_robin(detail, 3)
-        from repro.distributed.hierarchy import combine_states_by_key
         full_subs, reduced_subs = [], []
         for part in parts.values():
             states = evaluate_gmdj(gmdj, base, part, output=STATES,
@@ -145,10 +144,10 @@ class TestProposition1:
             reduced = states.filter(states.column("hit"))
             reduced_subs.append(reduced.project(
                 [name for name in reduced.schema.names if name != "hit"]))
-        merged_full = combine_states_by_key(full_subs, ["g"], [gmdj],
-                                            detail.schema)
-        merged_reduced = combine_states_by_key(reduced_subs, ["g"], [gmdj],
-                                               detail.schema)
+        merged_full = merge_states(full_subs, ["g"], gmdj.all_aggregates,
+                                   detail.schema)
+        merged_reduced = merge_states(reduced_subs, ["g"],
+                                      gmdj.all_aggregates, detail.schema)
         # same keys (every group matched somewhere) and same states
         assert merged_full.multiset_equals(merged_reduced)
 

@@ -27,7 +27,7 @@ from repro.errors import PlanError
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.explain import explain_analyze
 from repro.distributed.faults import SlowSite
-from repro.distributed.hierarchy import TreeNode, TreeTopology
+from repro.topology import TreeNode, TreeTopology
 from repro.distributed.messages import COORDINATOR
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
@@ -252,6 +252,23 @@ class TestTreeExecution:
     def test_fanout_below_one_rejected(self, detail):
         with pytest.raises(PlanError, match="at least 1"):
             TreeEngine(partition_round_robin(detail, 4), fanout=0)
+
+    def test_fanout_one_without_wan_rejected(self, detail):
+        """A balanced tree needs fanout >= 2: fanout 1 raises exactly as
+        ``TreeTopology.balanced`` does, instead of silently building a
+        fanout-2 tree the engine would misreport as fanout 1."""
+        with pytest.raises(PlanError, match="at least 2"):
+            TreeEngine(partition_round_robin(detail, 8), fanout=1)
+
+    def test_fanout_one_with_wan_builds_chain(self, detail):
+        query = simple_query()
+        reference = query.evaluate_centralized(detail)
+        with TreeEngine(partition_round_robin(detail, 4),
+                        wan=clustered_wan(4, seed=3), fanout=1) as engine:
+            assert engine.fanout == 1
+            assert engine.topology.depth() == 4
+            result = engine.execute(query, NO_OPTIMIZATIONS)
+        assert result.relation.multiset_equals(reference)
 
 
 # ---------------------------------------------------------------------------
