@@ -22,7 +22,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.errors import PlanError, SiteFailure
 from repro.relational.relation import Relation
@@ -245,12 +245,16 @@ class Transport(abc.ABC):
         self.last_round_stats = stats
         return responses
 
-    def call(self, request: SiteRequest) -> SiteResponse:
+    def call(self, request: SiteRequest,
+             on_failure: Callable[[SiteFailure], None] | None = None,
+             ) -> SiteResponse:
         """One site call with retries, backoff + jitter, and deadlines.
 
         Site work is idempotent (a pure function of fragment + shipped
         structure), so a failed call is simply repeated.  Exhausting
         the budget re-raises the **last** ``SiteFailure``.
+        ``on_failure`` is told of every failed attempt as it happens
+        (the scatter executor uses it to keep hedges off failing sites).
         """
         self._ensure_started()
         attempts = 0
@@ -259,6 +263,8 @@ class Transport(abc.ABC):
             try:
                 response = self._invoke(request)
             except SiteFailure as failure:
+                if on_failure is not None:
+                    on_failure(failure)
                 respawns += getattr(failure, "respawned", 0)
                 attempts += 1
                 if attempts > self.retry.max_retries:

@@ -11,11 +11,12 @@ call next to the engine's modeled numbers.
 Robustness (owned here, per the transport contract):
 
 * **crash detection** — a worker that dies mid-call closes its pipe;
-  the parent observes EOF, respawns the worker (re-shipping the site),
-  and raises :class:`~repro.errors.SiteFailure` into the shared
-  retry/backoff loop;
+  the parent observes EOF and raises :class:`~repro.errors.SiteFailure`
+  into the shared retry/backoff loop at once, and the retry's attempt
+  respawns the worker (re-shipping the site) — so the failure is
+  reported before the slow respawn, not after it;
 * **per-call deadlines** — ``RetryPolicy.call_deadline`` bounds each
-  call; a hung worker is killed, respawned, and the call retried;
+  call; a hung worker is killed, and the retried call respawns it;
 * **graceful degradation** — when the pool cannot start at all (e.g.
   the platform forbids subprocesses), the transport warns once and
   falls back to in-process execution rather than failing the query.
@@ -369,7 +370,12 @@ class MultiprocessTransport(Transport):
                        started: float) -> SiteResponse:
         site_id = request.site_id
         worker = self._workers.get(site_id)
+        respawned = 0
         if worker is None or not worker.alive():
+            # a dead handle is a crashed or deadline-killed worker, so
+            # replacing it is a respawn; a missing one was invalidated
+            # (or is a virtual sub-site) and starts lazily
+            respawned = int(worker is not None)
             try:
                 self._respawn(site_id)
             except TransportError as error:
@@ -396,18 +402,18 @@ class MultiprocessTransport(Transport):
                         f"call deadline")
             response_frame = worker.connection.recv_bytes()
         except TimeoutError as error:
-            self._safe_respawn(site_id)
-            raise self._failure(site_id, str(error), respawned=1)
+            worker.kill()  # the retried attempt respawns it
+            raise self._failure(site_id, str(error), respawned=respawned)
         except (EOFError, BrokenPipeError, ConnectionResetError,
                 OSError) as error:
             worker.process.join(SHUTDOWN_GRACE)  # reap to get the exit code
             exit_code = worker.process.exitcode
-            self._safe_respawn(site_id)
+            worker.kill()  # the retried attempt respawns it
             raise self._failure(
                 site_id,
                 f"worker for site {site_id} crashed "
                 f"(exit code {exit_code}): {error or type(error).__name__}",
-                respawned=1)
+                respawned=respawned)
 
         response = pickle.loads(response_frame)
         if not response["ok"]:
@@ -425,14 +431,8 @@ class MultiprocessTransport(Transport):
             compute_seconds=response["seconds"],
             wall_seconds=time.perf_counter() - started,
             request_bytes=len(frame),
-            response_bytes=len(response_frame) + payload_bytes)
-
-    def _safe_respawn(self, site_id: SiteId) -> None:
-        try:
-            self._respawn(site_id)
-        except TransportError as error:  # pragma: no cover - spawn broke
-            warnings.warn(f"could not respawn worker for site {site_id}: "
-                          f"{error}", RuntimeWarning, stacklevel=2)
+            response_bytes=len(response_frame) + payload_bytes,
+            respawns=respawned)
 
     @staticmethod
     def _failure(site_id: SiteId, message: str,

@@ -29,10 +29,19 @@ The hedged duplicate goes through ``hedge_call``, which backends choose:
   result is bit-identical), which sidesteps a hung or overloaded worker
   without double-using its pipe.
 
-Failures keep PR 1's contract: hedging never masks a *failure* — the
-retry/backoff loop inside ``Transport.call`` owns transient faults, and
-a site whose every in-flight arm has failed re-raises the last
-``SiteFailure`` immediately.
+Hedging never masks a *failure*.  A hedge guards against a slow site,
+not a failing one; the retry/backoff loop inside ``Transport.call``
+owns faults.  The contract, independent of thread timing once a crash
+has been detected:
+
+* a site whose primary arm has failed an attempt is not hedged;
+* if such a site's hedge was already in flight and answers first, its
+  response is dropped and the primary's retry loop decides — so every
+  crash is charged to the site's retry budget and shows up in the
+  winning response's ``retries``/``respawns``;
+* a primary arm that exhausts its budget re-raises its last
+  ``SiteFailure`` immediately, even while a hedge is in flight, so a
+  persistently dead site surfaces instead of being rescued forever.
 
 All timing in :class:`RoundStats` is measured from the scatter instant,
 so ``site_wall[s]`` is the round-relative latency of site ``s`` (queue
@@ -179,7 +188,7 @@ def sequential_round(call: Callable[[SiteRequest], SiteResponse],
     return responses, stats
 
 
-def scatter_gather(call: Callable[[SiteRequest], SiteResponse],
+def scatter_gather(call: Callable[..., SiteResponse],
                    requests: Sequence[SiteRequest],
                    submit: Callable,
                    hedge: HedgePolicy | None = None,
@@ -189,14 +198,18 @@ def scatter_gather(call: Callable[[SiteRequest], SiteResponse],
     """Dispatch all requests concurrently; gather as they complete.
 
     ``submit`` is an executor's ``submit`` (the pool bounds in-flight
-    parallelism).  ``hedge_call`` serves hedged duplicates (defaults to
-    ``call``).  Returns ``(responses, stats)`` where ``responses`` maps
-    every request's site id to its *winning* :class:`SiteResponse`.
+    parallelism).  Primary arms run ``call(request, on_failure=...)``,
+    which must report each failed attempt through ``on_failure``
+    (:meth:`Transport.call` does).  ``hedge_call`` serves hedged
+    duplicates (defaults to ``call``).  Returns ``(responses, stats)``
+    where ``responses`` maps every request's site id to its *winning*
+    :class:`SiteResponse`.
 
-    Error semantics: a site whose every in-flight arm failed re-raises
-    the last failure immediately (fail-fast, like sequential dispatch).
-    Losing arms that are still running when the round resolves are left
-    to drain in the pool; their results are discarded.
+    Error semantics: a failing primary arm re-raises its last failure
+    immediately (fail-fast, like sequential dispatch); a failing hedge
+    arm is ignored, since its primary is still running.  Losing arms
+    that are still running when the round resolves are left to drain
+    in the pool; their results are discarded.
     """
     if hedge_call is None:
         hedge_call = call
@@ -208,8 +221,13 @@ def scatter_gather(call: Callable[[SiteRequest], SiteResponse],
     start = time.perf_counter()
     #: future → (site_id, is_hedge); arms for sites not yet resolved.
     arms: dict = {}
+    #: sites whose primary arm has failed an attempt: the retry loop
+    #: owns them, so they are never hedged and no hedge wins them.
+    failing: set[SiteId] = set()
     for request in requests:
-        arms[submit(call, request)] = (request.site_id, False)
+        arms[submit(call, request,
+                    on_failure=lambda _failure, site=request.site_id:
+                    failing.add(site))] = (request.site_id, False)
     pending_sites = set(by_site)
     responses: dict[SiteId, SiteResponse] = {}
     hedged: set[SiteId] = set()
@@ -227,12 +245,11 @@ def scatter_gather(call: Callable[[SiteRequest], SiteResponse],
                 continue  # the losing arm of an already-won site
             error = future.exception()
             if error is not None:
-                other_arms = any(site == site_id
-                                 for site, _ in arms.values())
-                if other_arms:
-                    # the site's other arm may still save the round
-                    continue
+                if is_hedge:
+                    continue  # the site's primary arm is still running
                 raise error
+            if is_hedge and site_id in failing:
+                continue  # the primary's retry loop decides this site
             response = future.result()
             responses[site_id] = response
             stats.site_wall[site_id] = now
@@ -248,7 +265,7 @@ def scatter_gather(call: Callable[[SiteRequest], SiteResponse],
                            hedge.min_seconds)
             if now > deadline:
                 budget = hedge.budget(total)
-                for site_id in sorted(pending_sites):
+                for site_id in sorted(pending_sites - failing):
                     if site_id in hedged or stats.hedges_issued >= budget:
                         continue
                     arms[submit(hedge_call, by_site[site_id])] = (

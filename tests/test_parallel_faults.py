@@ -25,6 +25,8 @@ story:
   — results stay exact and the skew counters stay consistent.
 """
 
+import time
+
 import pytest
 
 from repro.errors import SiteFailure
@@ -198,6 +200,83 @@ class TestHedging:
         # every hedge resolves as exactly one of won/wasted
         assert (metrics.hedges_won + metrics.hedges_wasted
                 == metrics.hedges_issued)
+
+
+class TestHedgeFaultContract:
+    """A hedge rescues a slow site, never a failing one.
+
+    Each case makes the hedge deadline far shorter than the failing
+    site's recovery (a long retry backoff, a slow worker respawn), so
+    without the contract the hedge would always win and hide the fault.
+    """
+
+    HEDGE = HedgePolicy(multiplier=1.25, min_seconds=0.02)
+
+    @staticmethod
+    def slow_respawns(monkeypatch, seconds=0.3):
+        """Make every worker respawn slower than the hedge deadline."""
+        from repro.distributed.transport.process import (
+            MultiprocessTransport)
+        respawn = MultiprocessTransport._respawn
+
+        def slow_respawn(transport, site_id):
+            time.sleep(seconds)
+            respawn(transport, site_id)
+        monkeypatch.setattr(MultiprocessTransport, "_respawn",
+                            slow_respawn)
+
+    def test_failing_site_is_retried_not_hedged_on_threads(self, detail):
+        query = simple_query()
+        reference = query.evaluate_centralized(detail)
+        engine = make_engine(
+            detail, "thread", hedge=self.HEDGE,
+            retry_policy=RetryPolicy(max_retries=2, base_delay=0.3,
+                                     jitter=0.0))
+        partitions = partition_round_robin(detail, 4)
+        engine.sites[2] = FlakySite(2, partitions[2], failures=1)
+        try:
+            result = engine.execute(query, NO_OPTIMIZATIONS)
+        finally:
+            engine.close()
+        assert result.relation.multiset_equals(reference)
+        # the failure is charged to the site's retry budget, not
+        # served by a hedge while the primary backs off
+        assert result.metrics.retries == 1
+
+    def test_killed_worker_with_slow_respawn_is_counted(
+            self, detail, monkeypatch):
+        self.slow_respawns(monkeypatch)
+        query = simple_query()
+        reference = query.evaluate_centralized(detail)
+        engine = make_engine(
+            detail, "process", hedge=self.HEDGE,
+            retry_policy=RetryPolicy(max_retries=2, base_delay=0.01),
+            transport_options={
+                "fault_specs": {1: ProcessFaultSpec(kill_on_request=1)}})
+        try:
+            result = engine.execute(query, NO_OPTIMIZATIONS)
+        finally:
+            engine.close()
+        assert result.relation.multiset_equals(reference)
+        assert result.metrics.retries >= 1
+        assert result.metrics.worker_respawns >= 1
+
+    def test_persistently_dead_worker_surfaces_under_hedging(
+            self, detail, monkeypatch):
+        self.slow_respawns(monkeypatch)
+        engine = make_engine(
+            detail, "process", hedge=self.HEDGE,
+            retry_policy=RetryPolicy(max_retries=1, base_delay=0.01),
+            transport_options={
+                "fault_specs": {1: ProcessFaultSpec(kill_on_request=1,
+                                                    repeat=True)}})
+        try:
+            with pytest.raises(SiteFailure) as excinfo:
+                engine.execute(simple_query(), NO_OPTIMIZATIONS)
+        finally:
+            engine.close()
+        assert excinfo.value.site_id == 1
+        assert "crashed" in str(excinfo.value)
 
 
 class TestSkewAccounting:
