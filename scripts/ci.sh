@@ -10,8 +10,9 @@
 #                               fail-under gate (skipped with a notice
 #                               when pytest-cov is not installed)
 #   scripts/ci.sh differential  the oracle harness at 200 examples per
-#                               transport, re-run under three distinct
-#                               seeds (REPRO_TEST_SEED)
+#                               transport, plus the positional-vs-keyed
+#                               merge property, re-run under three
+#                               distinct seeds (REPRO_TEST_SEED)
 #   scripts/ci.sh bench         the transport, cache, parallel-dispatch,
 #                               and sketch-traffic benchmarks as smoke
 #                               tests, at a reduced row count so they
@@ -106,7 +107,8 @@ differential() {
         echo "== differential: 200 examples/transport, seed $seed =="
         REPRO_TEST_SEED=$seed REPRO_DIFFERENTIAL_EXAMPLES=200 \
             "$PYTHON" -m pytest tests/test_differential.py \
-            tests/test_differential_sketches.py -x -q
+            tests/test_differential_sketches.py tests/test_coordinator.py \
+            -x -q
     done
 }
 

@@ -8,7 +8,7 @@ so splitting one site's fragment ``F`` into ``{F_old, Δ}`` (the
 fragment a cached sub-result was computed against, plus the rows
 appended since) is just another partition:
 
-    H(F)  =  merge_K( H(F_old), H(Δ) )
+    H(F)  =  merge( H(F_old), H(Δ) )
 
 ``H(F_old)`` is the cached entry; ``H(Δ)`` is cheap to compute because
 ``Δ`` is small; the merge reuses the exact synchronization machinery
@@ -94,12 +94,15 @@ def merge_sub_results(request: SiteRequest, cached: Relation,
     * base rounds: multiset union + duplicate elimination, preserving
       first-appearance order (identical to evaluating over the
       concatenated fragment);
-    * GMDJ steps: super-aggregate state merge keyed on ``K`` via
-      :func:`~repro.distributed.coordinator.merge_states`;
-      keys present on one side only keep their states (the other side
-      contributes the aggregate's empty state), which also covers
-      distribution-independent group reduction (Prop. 1) filtering the
-      two sides differently.
+    * GMDJ steps: super-aggregate state merge via
+      :func:`~repro.distributed.coordinator.merge_states`, keyed on the
+      row id into the shipped structure (both sides were computed
+      against the same one — the fingerprint covers its content), or
+      on ``K`` for an ``include_base`` step.  Rows present on one side
+      only keep their states (the other side contributes the
+      aggregate's empty state), which also covers distribution-
+      independent group reduction (Prop. 1) filtering the two sides
+      differently.
 
     Returns ``(merged, coordinator_seconds)``.
     """
@@ -109,8 +112,8 @@ def merge_sub_results(request: SiteRequest, cached: Relation,
         return merged, time.perf_counter() - started
     step = request.step
     assert step is not None
-    merged = merge_states([cached, delta_result], key, step.aggregates,
-                          detail_schema)
+    merged = merge_states([cached, delta_result], step.merge_key(key),
+                          step.aggregates, detail_schema)
     return merged, time.perf_counter() - started
 
 

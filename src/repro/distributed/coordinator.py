@@ -3,17 +3,25 @@
 The coordinator owns the *base-result structure* ``X`` — the base-values
 relation extended, round by round, with the finalized aggregates of each
 GMDJ.  **Synchronization** (Theorem 1) merges the sub-aggregate relations
-``H_1 … H_n`` returned by the sites into ``X``: rows are matched on the
-key attributes ``K`` (the paper's ``θ_K``), state columns merge with the
-aggregate's super-aggregate (counts and sums add, mins/maxes take
-min/max), and the merged states are finalized into user-visible columns.
+``H_1 … H_n`` returned by the sites into ``X``: rows are matched to the
+``X`` rows they aggregate for (the paper's ``θ_K``), state columns merge
+with the aggregate's super-aggregate (counts and sums add, mins/maxes
+take min/max), and the merged states are finalized into user-visible
+columns.
 
-The merge is O(|H|) — a dense group-coding pass plus vectorized
-scatter-reductions — matching the paper's remark that the structure is
-indexed on K and synchronization runs in time linear in |H|.
+The paper keeps ``X`` indexed on ``K`` so that synchronization is linear
+in ``|H|``.  Here the index is the row position itself: a site that was
+shipped ``X`` (or its Thm.-4 slice) answers with each row's position
+(:data:`~repro.distributed.plan.ROW_ID`) instead of its key values, so
+the merge is a scatter-reduction over those positions — no key is
+hashed, sorted or matched.  An ``include_base`` step (Proposition 2)
+ships no structure; its sub-results carry the base attributes and one
+keyed merge rebuilds the base and its states together.
+
 :func:`merge_states` is that merge, and the only one: partial
-synchronization at tree aggregators, cache delta maintenance and cube
-rollup apply the same function keyed on K (or on a coarser key).
+synchronization at tree aggregators, virtual sub-site merges, cache
+delta maintenance and cube rollup apply the same function, keyed on the
+row id (or, for rollup, on a coarser key).
 """
 
 from __future__ import annotations
@@ -28,9 +36,9 @@ from repro.relational.aggregates import (
     AggregateSpec, merge_spec_states_grouped, place_grouped)
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
-from repro.core.evaluator import finalize_states, match_codes
+from repro.core.evaluator import finalize_states
 from repro.core.expression_tree import GmdjExpression
-from repro.distributed.plan import LocalStep
+from repro.distributed.plan import ROW_ID, LocalStep
 
 
 class Coordinator:
@@ -73,26 +81,32 @@ class Coordinator:
                          ) -> tuple[Relation, float]:
         """Merge the sites' sub-aggregates for one step into ``X``.
 
-        For an ``include_base`` step (Proposition 2) the base structure
-        itself is reconstructed as the distinct projection of the merged
-        sub-results onto the base attributes — no base round happened.
+        The sub-results of a structure-shipping step carry ``X`` row ids
+        and merge positionally onto ``X``.  For an ``include_base`` step
+        (Proposition 2) no base round happened: one keyed merge over the
+        sub-results yields the base (the distinct keys, in first-
+        appearance order, with the base attributes they carry) together
+        with its states.
         """
         started = time.perf_counter()
-        if step.include_base:
-            sub_results = ([Relation.concat(list(sub_results))]
-                           if sub_results else [])
-            if sub_results and sub_results[0].num_rows:
-                base = sub_results[0].project(
-                    self.base_schema.names).distinct()
-            else:
-                base = Relation.empty(self.base_schema)
+        aggregates = step.aggregates
+        if step.include_base and sub_results:
+            keyed = merge_states(sub_results, self.key, aggregates,
+                                 self.detail_schema)
+            base = keyed.project(self.base_schema.names)
+            states = keyed.project(
+                [*self.key, *(field.name for spec in aggregates
+                              for field in spec.state_fields(
+                                  self.detail_schema))])
         else:
-            if self.result is None:
+            if step.include_base:
+                base = Relation.empty(self.base_schema)
+            elif self.result is None:
                 raise PlanError("synchronize_step before the base round")
-            base = self.result
-
-        states = merge_states(sub_results, self.key, step.aggregates,
-                              self.detail_schema, onto=base)
+            else:
+                base = self.result
+            states = merge_states(sub_results, self.key, aggregates,
+                                  self.detail_schema, onto=base)
         state_columns = states.columns()
         current = base
         for gmdj in step.gmdjs:
@@ -115,7 +129,7 @@ class Coordinator:
 def merge_states(sub_results: Sequence[Relation], key: Sequence[str],
                  aggregates: Sequence[AggregateSpec], detail_schema: Schema,
                  onto: Relation | None = None) -> Relation:
-    """Theorem 1's merge: sub-aggregate states matched on ``key``.
+    """Theorem 1's merge of sub-aggregate states.
 
     Every synchronization in the engine goes through this function —
     the coordinator, interior tree aggregators, virtual sub-site
@@ -123,19 +137,21 @@ def merge_states(sub_results: Sequence[Relation], key: Sequence[str],
     rollup.  State columns (one per field of each spec in
     ``aggregates``) merge with the primitive's super-aggregate: counts
     and sums add, mins/maxes take min/max, Chan ``m2`` states combine
-    and sketch states merge bytewise.  Rows of one key merge in input
+    and sketch states merge bytewise.  Rows of one group merge in input
     order, so float sums are reproducible.
 
-    * **Onto X** (``onto`` given): the result has one row per ``onto``
-      row — its ``key`` columns followed by the merged state columns.
-      Rows match on ``key`` via :func:`match_codes`; an ``onto`` row no
-      sub-aggregate matches gets the primitives' empty states.
+    * **Positional onto X** (``onto`` given): every sub-result carries
+      :data:`~repro.distributed.plan.ROW_ID`, the position of its row in
+      ``onto``, and the ids are the group codes.  The result has one
+      row per ``onto`` row — its ``key`` columns followed by the merged
+      state columns; an ``onto`` row no sub-aggregate points at gets the
+      primitives' empty states.
     * **Keyed** (``onto`` omitted): the result has one row per distinct
       ``key`` in first-appearance order, with the input's schema.
       Non-state columns (the base attributes an ``include_base`` step
-      carries) come from each key's first row — they are functionally
-      determined by it.  An empty ``key`` gives one grand-total row,
-      even over empty input.
+      carries, or the row id) come from each key's first row — they are
+      functionally determined by it.  An empty ``key`` gives one
+      grand-total row, even over empty input.
     """
     if onto is None and not sub_results:
         raise PlanError("no sub-aggregates to merge")
@@ -145,7 +161,7 @@ def merge_states(sub_results: Sequence[Relation], key: Sequence[str],
     elif live:
         combined = live[0]
     else:
-        combined = sub_results[0] if onto is None else None
+        combined = sub_results[0] if sub_results else None
     spec_fields = [(spec, spec.state_fields(detail_schema))
                    for spec in aggregates]
     state_fields = [field for __, fields in spec_fields for field in fields]
@@ -163,30 +179,22 @@ def merge_states(sub_results: Sequence[Relation], key: Sequence[str],
             codes = np.zeros(combined.num_rows, dtype=np.int64)
             first = np.zeros(min(combined.num_rows, 1), dtype=np.int64)
             num_groups = 1
-        num_rows = num_groups
-        matched = np.ones(num_rows, dtype=bool)
-        gather = np.arange(num_rows)
         schema = combined.schema
         state_names = {field.name for field in state_fields}
         columns = {name: combined.column(name)[first]
                    for name in schema.names if name not in state_names}
     else:
-        if combined is not None:
-            base_codes, codes, num_groups = match_codes(
-                onto, key, combined, key)
-        else:
-            base_codes = np.full(onto.num_rows, -1, dtype=np.int64)
-            num_groups = 0
-        num_rows = onto.num_rows
-        matched = base_codes >= 0
-        gather = np.where(matched, base_codes, 0)
+        num_groups = onto.num_rows
+        codes = None if combined is None else combined.column(ROW_ID)
         schema = Schema([*(onto.schema[name] for name in key),
                          *(Attribute(field.name, field.dtype)
                            for field in state_fields)])
         columns = {name: onto.column(name) for name in key}
 
+    everywhere = np.ones(num_groups, dtype=bool)
+    positions = np.arange(num_groups)
     for spec, fields in spec_fields:
-        if num_groups:
+        if codes is not None and num_groups:
             per_group = merge_spec_states_grouped(
                 spec, detail_schema, codes,
                 {field.name: combined.column(field.name)
@@ -197,7 +205,8 @@ def merge_states(sub_results: Sequence[Relation], key: Sequence[str],
                 (field.name for field in fields), None)
         for field in fields:
             columns[field.name] = place_grouped(
-                field, per_group[field.name], matched, gather, num_rows)
+                field, per_group[field.name], everywhere, positions,
+                num_groups)
     return Relation(schema, columns)
 
 
@@ -210,10 +219,12 @@ class IncrementalSynchronizer:
     for all of H to be assembled."
 
     Each arriving sub-result is merged into a running accumulator keyed
-    on K (partial super-aggregation — sound by Theorem 1's associative
-    multiset union); :meth:`finish` performs the final placement into
-    the base-result structure and finalization.  The per-absorb timings
-    let the engine overlap merging with transfers from slower sites.
+    on the step's merge key — the ``X`` row id, or K for an
+    ``include_base`` step (partial super-aggregation — sound by
+    Theorem 1's associative multiset union); :meth:`finish` performs the
+    final placement into the base-result structure and finalization.
+    The per-absorb timings let the engine overlap merging with transfers
+    from slower sites.
     """
 
     def __init__(self, coordinator: Coordinator, step: LocalStep):
@@ -228,7 +239,8 @@ class IncrementalSynchronizer:
             self._accumulator = sub_result
         else:
             self._accumulator = merge_states(
-                [self._accumulator, sub_result], self.coordinator.key,
+                [self._accumulator, sub_result],
+                self.step.merge_key(self.coordinator.key),
                 self.step.aggregates, self.coordinator.detail_schema)
         return time.perf_counter() - started
 

@@ -58,7 +58,7 @@ from repro.distributed.metrics import PhaseMetrics, QueryMetrics
 from repro.distributed.network import ComputeModel, LinkModel, SimulatedNetwork
 from repro.distributed.partition import DistributionInfo
 from repro.distributed.plan import (
-    DistributedPlan, NO_OPTIMIZATIONS, OptimizationFlags)
+    ROW_ID, DistributedPlan, NO_OPTIMIZATIONS, OptimizationFlags)
 from repro.distributed.site import SkallaSite
 from repro.distributed.transport import (
     DEFAULT_TRANSPORT, RetryPolicy, SiteRequest, SiteResponse, Transport,
@@ -440,6 +440,8 @@ class SkallaEngine:
         for step_index, step in enumerate(plan.steps):
             phase = PhaseMetrics(f"step {step_index + 1}")
             shipped: dict[SiteId, Relation | None] = {}
+            #: per filtered site, the X rows its slice holds (Thm. 4)
+            slice_rows: dict[SiteId, np.ndarray] = {}
             step_participants = sorted(
                 step_sites.get(step_index, participating))
 
@@ -450,11 +452,13 @@ class SkallaEngine:
                 current = coordinator.final_result()
                 filters = plan.site_filters.get(step_index, {})
                 for site_id in step_participants:
-                    shipped[site_id] = self._filter_for_site(
+                    shipped[site_id], rows = self._filter_for_site(
                         current, filters.get(site_id))
+                    if rows is not None:
+                        slice_rows[site_id] = rows
 
             ship_attrs = (expression.base_schema(self.detail_schema).names
-                          if step.include_base else expression.key)
+                          if step.include_base else (ROW_ID,))
             base_rows = (0 if step.include_base else
                          coordinator.final_result().num_rows)
             requests = [SiteRequest(
@@ -475,7 +479,7 @@ class SkallaEngine:
                 metrics, phase, network, requests, decisions,
                 base_rows=base_rows, round_index=round_index,
                 key=expression.key, uplink_kind="sub_aggregates",
-                uplink_note="sub-aggregate results")
+                uplink_note="sub-aggregate results", slice_rows=slice_rows)
             sub_results = []
             site_seconds = []
             for site_id in step_participants:
@@ -663,7 +667,9 @@ class SkallaEngine:
                        decisions: "dict[SiteId, CacheDecision] | None",
                        base_rows: int, round_index: int,
                        key: Sequence[str], uplink_kind: str,
-                       uplink_note: str) -> dict[SiteId, SiteResponse]:
+                       uplink_note: str,
+                       slice_rows: "Mapping[SiteId, np.ndarray] | None"
+                       = None) -> dict[SiteId, SiteResponse]:
         """Serve one round through the cache, then the transport.
 
         Misses go to the transport (scattered concurrently, gathered as
@@ -693,7 +699,15 @@ class SkallaEngine:
         Followers apply the same gather-time freshness rule as HITs: a
         shared response whose fragment version moved is discarded and
         the request re-decided.
+
+        A site shipped a Thm.-4 slice of ``X`` answers with row ids into
+        that slice; ``slice_rows`` maps such a site to the ``X`` rows
+        its slice holds.  Sub-results are cached, shared and merged
+        across virtual sub-sites slice-relative (all of those see the
+        same shipped slice), and translated to ``X`` ids here, before
+        any merge across sites.
         """
+        slice_rows = slice_rows or {}
         misses = [request for request in requests
                   if self._needs_dispatch(decisions, request.site_id)]
         registry = self.scan_registry if decisions is not None else None
@@ -737,10 +751,12 @@ class SkallaEngine:
             site_id = request.site_id
             decision = decisions[site_id] if decisions is not None else None
             ticket = follower_tickets.get(site_id)
+            rows = slice_rows.get(site_id)
             if ticket is not None:
                 response = self._consume_shared(ticket, request, phase)
                 if response is not None:
-                    responses[site_id] = response
+                    responses[site_id] = self._onto_structure(response,
+                                                              rows)
                     continue
                 # stale or failed share: decide afresh (the leader may
                 # have populated the cache meanwhile) and serve normally
@@ -748,8 +764,20 @@ class SkallaEngine:
                 decision = self._cache.decide(request)
             responses[site_id] = self._serve_one(
                 request, decision, outputs, metrics, phase, network,
-                base_rows, round_index, key, uplink_kind, uplink_note)
+                base_rows, round_index, key, uplink_kind, uplink_note,
+                rows)
         return responses
+
+    @staticmethod
+    def _onto_structure(response: SiteResponse,
+                        rows: np.ndarray | None) -> SiteResponse:
+        """Translate a slice's row ids into ``X`` ids (``rows[id]``)."""
+        if rows is None:
+            return response
+        columns = response.relation.columns()
+        columns[ROW_ID] = rows[columns[ROW_ID]]
+        return replace(response,
+                       relation=Relation(response.relation.schema, columns))
 
     def _consume_shared(self, ticket, request: SiteRequest,
                         phase: PhaseMetrics) -> SiteResponse | None:
@@ -786,8 +814,13 @@ class SkallaEngine:
                    metrics: QueryMetrics, phase: PhaseMetrics,
                    network: SimulatedNetwork, base_rows: int,
                    round_index: int, key: Sequence[str],
-                   uplink_kind: str, uplink_note: str) -> SiteResponse:
-        """Fulfill one site's round from the gathered outputs or cache."""
+                   uplink_kind: str, uplink_note: str,
+                   rows: np.ndarray | None = None) -> SiteResponse:
+        """Fulfill one site's round from the gathered outputs or cache.
+
+        The cache holds the site's slice-relative sub-result; what is
+        returned (and sent up) carries ``X`` ids, via ``rows``.
+        """
         site_id = request.site_id
         # Gather-time version check: a HIT classified before the
         # scatter may have been invalidated by an append that landed
@@ -809,6 +842,7 @@ class SkallaEngine:
             if decision is not None:
                 phase.cache_misses += 1
                 self._cache.populate(decision, response.relation)
+            response = self._onto_structure(response, rows)
             self._send_uplink(
                 network, site_id, uplink_kind, response.relation,
                 round_index, uplink_note,
@@ -821,7 +855,7 @@ class SkallaEngine:
             phase.cache_hits += 1
             phase.cache_bytes_saved += (relation.wire_bytes()
                                         + ENVELOPE_BYTES)
-            return response
+            return self._onto_structure(response, rows)
         # DELTA: incremental maintenance (Theorem 1 over the
         # {old fragment, appended delta} partition).  The delta is a
         # snapshot taken at decision time, so a concurrent append
@@ -844,7 +878,7 @@ class SkallaEngine:
             round_index, f"delta {uplink_note} (incremental maintenance)")
         phase.cache_bytes_saved += max(
             0, merged.wire_bytes() - delta_result.wire_bytes())
-        return response
+        return self._onto_structure(response, rows)
 
     def _run_on_sites(self, metrics: QueryMetrics, phase: PhaseMetrics,
                       network: SimulatedNetwork,
@@ -997,9 +1031,11 @@ class SkallaEngine:
 
         Exactly the interior-aggregator merges of the tree executor
         (Theorem 1): base sub-results concat + distinct; step sub-
-        results merge state columns by key.  Every layer above this —
-        cache population, uplink accounting, synchronization, tree
-        ascent — sees one response per physical site, as always.
+        results merge state columns on the step's merge key (the row id
+        into the structure every sub-site was shipped).  Every layer
+        above this — cache population, uplink accounting,
+        synchronization, tree ascent — sees one response per physical
+        site, as always.
         """
         expanded_ids = {virtual_id for virtual_ids in expansion.values()
                         for virtual_id in virtual_ids}
@@ -1014,8 +1050,8 @@ class SkallaEngine:
                 relation = Relation.concat(relations).distinct()
             else:
                 relation = merge_states(
-                    relations, key, request.step.aggregates,
-                    self.detail_schema)
+                    relations, request.step.merge_key(key),
+                    request.step.aggregates, self.detail_schema)
             part_bytes = [part.relation.wire_bytes() for part in parts]
             phase.rebalanced_bytes += sum(part_bytes) - max(part_bytes)
             merged[parent] = SiteResponse(
@@ -1070,12 +1106,16 @@ class SkallaEngine:
         phase.coordinator_seconds += makespan - max(last_arrival, slowest)
 
     @staticmethod
-    def _filter_for_site(structure: Relation,
-                         site_filter: Expr | None) -> Relation:
-        """Apply a distribution-aware group filter (¬ψ_i) before shipping."""
+    def _filter_for_site(structure: Relation, site_filter: Expr | None,
+                         ) -> "tuple[Relation, np.ndarray | None]":
+        """Apply a distribution-aware group filter (¬ψ_i) before shipping.
+
+        Returns the slice and the ``X`` rows it holds (``None`` when
+        the whole structure ships).
+        """
         if site_filter is None:
-            return structure
+            return structure, None
         mask = evaluate_predicate(
             site_filter, {"base": structure.columns(), "detail": None},
             structure.num_rows)
-        return structure.filter(mask)
+        return structure.filter(mask), np.flatnonzero(mask)

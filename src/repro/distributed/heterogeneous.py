@@ -27,9 +27,12 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import PlanError, QueryError, SchemaError
 from repro.relational.relation import Relation
-from repro.relational.schema import Schema
+from repro.relational.schema import Attribute, Schema
+from repro.relational.types import DataType
 from repro.core.evaluator import STATES, evaluate_gmdj, finalize_states
 from repro.core.expression_tree import ProjectionBase
 from repro.core.gmdj import Gmdj
@@ -38,6 +41,7 @@ from repro.distributed.messages import (
     COORDINATOR, MessageLog, SiteId, control_message, relation_message)
 from repro.distributed.metrics import PhaseMetrics, QueryMetrics
 from repro.distributed.network import LinkModel
+from repro.distributed.plan import ROW_ID
 
 
 @dataclass(frozen=True)
@@ -183,12 +187,13 @@ class HeterogeneousEngine:
                 states = evaluate_gmdj(
                     spec.gmdj, current, self.catalogs[site][spec.table],
                     output=STATES, match_column="__hit")
-                if independent_reduction:
-                    states = states.filter(states.column("__hit"))
                 shipped = states.project(
-                    [*query.key,
-                     *(field.name for field in
-                       spec.gmdj.state_fields(detail_schema))])
+                    [field.name for field in
+                     spec.gmdj.state_fields(detail_schema)]).append_columns(
+                    [Attribute(ROW_ID, DataType.INT64)],
+                    {ROW_ID: np.arange(current.num_rows, dtype=np.int64)})
+                if independent_reduction:
+                    shipped = shipped.filter(states.column("__hit"))
                 slowest = max(slowest, time.perf_counter() - started)
                 sub_results.append(shipped)
                 message = relation_message(site, COORDINATOR,

@@ -24,6 +24,7 @@ Optimizations shape the plan:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import PlanError
 from repro.relational.aggregates import AggregateSpec
@@ -67,6 +68,11 @@ class OptimizationFlags:
 ALL_OPTIMIZATIONS = OptimizationFlags.all()
 NO_OPTIMIZATIONS = OptimizationFlags.none()
 
+#: The INT64 column a structure-shipping step's sub-result carries in
+#: place of the key: each row's position in the structure its site was
+#: shipped (the site's slice of ``X`` under a Thm.-4 filter).
+ROW_ID = "__row"
+
 
 @dataclass(frozen=True)
 class LocalStep:
@@ -74,7 +80,8 @@ class LocalStep:
 
     ``include_base`` marks a Proposition-2 step: the sites compute the
     base-values relation from their own fragment instead of receiving the
-    synchronized base structure from the coordinator.
+    synchronized base structure from the coordinator.  Its sub-results
+    carry the base attributes; every other step's carry :data:`ROW_ID`.
     """
 
     gmdjs: tuple[Gmdj, ...]
@@ -92,6 +99,14 @@ class LocalStep:
     def aggregates(self) -> list[AggregateSpec]:
         """Every GMDJ's aggregate specs, in state-column order."""
         return [spec for gmdj in self.gmdjs for spec in gmdj.all_aggregates]
+
+    def merge_key(self, key: Sequence[str]) -> tuple[str, ...]:
+        """What this step's sub-results are keyed on when merged.
+
+        The expression ``key`` for an ``include_base`` step (there is no
+        shipped structure to point into), else the row id.
+        """
+        return tuple(key) if self.include_base else (ROW_ID,)
 
 
 @dataclass

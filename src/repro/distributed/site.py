@@ -16,6 +16,12 @@ tuples homed at other sites those locally-finalized values are vacuous
 partition attribute, so foreign tuples can never match local detail rows
 — their garbage never contaminates any contribution (this is exactly why
 Theorem 5 demands that entailment).
+
+A site that was shipped a structure does not send its key values back:
+each sub-result row carries :data:`~repro.distributed.plan.ROW_ID`, its
+position in the shipped structure, so the coordinator merges by position
+instead of re-matching keys.  Only an ``include_base`` step, whose base
+the site computed itself, ships base attributes.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ import numpy as np
 from repro.errors import PlanError
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
+from repro.relational.types import DataType
 from repro.core.evaluator import STATES, evaluate_gmdj, finalize_states
 from repro.core.expression_tree import BaseQuery
 from repro.distributed.messages import SiteId
-from repro.distributed.plan import LocalStep
+from repro.distributed.plan import ROW_ID, LocalStep
 
 
 class SkallaSite:
@@ -124,6 +131,11 @@ class SkallaSite:
                      for spec in gmdj.all_aggregates],
                     finalized)
 
+        # row ids are positions in the shipped structure, taken before
+        # the Prop.-1 filter below
+        current = current.append_columns(
+            [Attribute(ROW_ID, DataType.INT64)],
+            {ROW_ID: np.arange(current.num_rows, dtype=np.int64)})
         ship_schema = Schema(
             [*(current.schema[name] for name in ship_attrs),
              *state_attributes])

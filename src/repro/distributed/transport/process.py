@@ -164,6 +164,13 @@ class MultiprocessTransport(Transport):
         #: when its worker dies. Scatter threads spawn lazily (virtual
         #: sub-sites) and respawn concurrently, so the window is real.
         self._spawn_lock = threading.Lock()
+        #: Bumped by :meth:`invalidate` (per site; ``_epoch`` for the
+        #: whole pool).  A spawn snapshots its site while the worker
+        #: starts, so a worker is registered only if no invalidation
+        #: landed in between — otherwise an append racing a late
+        #: (hedged-loser) respawn would leave a stale fragment serving.
+        self._generations: defaultdict[SiteId, int] = defaultdict(int)
+        self._epoch = 0
         self._shared_memory = bool(shared_memory)
         self._fault_specs = dict(fault_specs or {})
         self._spawned_once: set[SiteId] = set()
@@ -187,7 +194,7 @@ class MultiprocessTransport(Transport):
         if self._fallback is None and not self._workers:
             try:
                 for site_id in sorted(self.sites):
-                    self._workers[site_id] = self._spawn(site_id)
+                    self._register_fresh(site_id)
             except TransportError as error:
                 self._teardown_workers()
                 warnings.warn(
@@ -236,10 +243,14 @@ class MultiprocessTransport(Transport):
         targets the site.
         """
         if site_ids is None:
+            with self._lock:
+                self._epoch += 1
             self._teardown_workers()
             self._started = False
             return
         for site_id in site_ids:
+            with self._lock:
+                self._generations[site_id] += 1
             worker = self._workers.pop(site_id, None)
             if worker is not None:
                 worker.kill()
@@ -302,12 +313,30 @@ class MultiprocessTransport(Transport):
         worker = self._workers.pop(site_id, None)
         if worker is not None:
             worker.kill()
-        if self._closing:
-            raise TransportError(
-                f"transport closing; not respawning site {site_id}")
-        self._workers[site_id] = self._spawn(site_id)
+        self._register_fresh(site_id)
         with self._lock:
             self.total_respawns += 1
+
+    def _register_fresh(self, site_id: SiteId) -> None:
+        """Spawn ``site_id``'s worker and register it once it is current.
+
+        A worker spawned across an :meth:`invalidate` of its site may
+        hold the pre-invalidation snapshot; it is discarded and the
+        spawn retried until one starts and registers with no
+        invalidation in between.
+        """
+        while True:
+            if self._closing:
+                raise TransportError(
+                    f"transport closing; not respawning site {site_id}")
+            with self._lock:
+                generation = (self._epoch, self._generations[site_id])
+            worker = self._spawn(site_id)
+            with self._lock:
+                if (self._epoch, self._generations[site_id]) == generation:
+                    self._workers[site_id] = worker
+                    return
+            worker.kill()
 
     # -- execution ---------------------------------------------------------
 
@@ -380,7 +409,12 @@ class MultiprocessTransport(Transport):
                 self._respawn(site_id)
             except TransportError as error:
                 raise self._failure(site_id, str(error), respawned=1)
-            worker = self._workers[site_id]
+            worker = self._workers.get(site_id)
+            if worker is None:
+                # invalidated again right after registering: retry
+                raise self._failure(
+                    site_id, f"site {site_id} was invalidated while its "
+                    f"worker respawned", respawned=respawned)
 
         frame = pickle.dumps({
             "kind": CALL,

@@ -15,7 +15,8 @@ modeled transfer time from table statistics
   site-side reduction returns ``|B|`` rows per round instead of
   ``n·|B|`` — the same ``c = 1`` regime the Fig. 2 analysis uses;
 * row widths follow the wire format of the schemas actually shipped
-  (the growing base-result structure down, key + state columns up).
+  (the growing base-result structure down; a row id — or, for an
+  ``include_base`` step, the base attributes — plus state columns up).
 
 The estimates are intentionally coarse (independence assumptions,
 pessimistic fallbacks) but faithful enough to rank plans — which is all
@@ -28,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.relational.schema import Schema
+from repro.relational.types import DataType
 from repro.relational.statistics import TableStats, estimate_group_count
 from repro.core.expression_tree import GmdjExpression
 from repro.distributed.messages import CONTROL_MESSAGE_BYTES, ENVELOPE_BYTES
@@ -127,11 +129,9 @@ def _up_row_width(expression: GmdjExpression, step,
                   detail_schema: Schema) -> int:
     """Wire width of one shipped sub-aggregate row for ``step``."""
     if step.include_base:
-        carried = expression.base_schema(detail_schema)
+        width = expression.base_schema(detail_schema).row_wire_width()
     else:
-        carried = expression.base_schema(detail_schema).project(
-            expression.key)
-    width = carried.row_wire_width()
+        width = DataType.INT64.wire_width  # the row id
     for gmdj in step.gmdjs:
         for field in gmdj.state_fields(detail_schema):
             width += field.dtype.wire_width

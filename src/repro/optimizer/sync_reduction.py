@@ -3,12 +3,12 @@
 Two guarded rewrites:
 
 * **Proposition 2** — when the base-values relation is computed *from
-  the detail relation itself* and every condition of the first GMDJ
-  round entails equality on the key attributes (``θ_j ⊨ θ_K``), the
-  base-synchronization round can be dropped: each site computes its own
-  ``B_i`` and evaluates the first round on it directly; the coordinator
-  reconstructs the base as ``π_B(H)`` during the (single) remaining
-  synchronization.
+  the detail relation itself*, its key covers all of its attributes,
+  and every condition of the first GMDJ round entails equality on the
+  key attributes (``θ_j ⊨ θ_K``), the base-synchronization round can be
+  dropped: each site computes its own ``B_i`` and evaluates the first
+  round on it directly; the coordinator reconstructs the base as
+  ``π_B(H)`` during the (single) remaining synchronization.
 
 * **Corollary 1** (via Theorem 5) — when every condition of two adjacent
   GMDJ rounds entails equality between base and detail on one common
@@ -28,7 +28,7 @@ from typing import Sequence
 
 from repro.relational.conditions import (
     entails_equality_on, entails_partition_equality)
-from repro.core.expression_tree import GmdjExpression
+from repro.core.expression_tree import GmdjExpression, ProjectionBase
 from repro.core.gmdj import Gmdj
 from repro.distributed.partition import DistributionInfo
 
@@ -96,10 +96,17 @@ def base_round_removable(expression: GmdjExpression,
     """Proposition 2 guard for folding the base query into the first step.
 
     Requires (i) the base to be computed from the detail relation (so
-    ``B = ⊔_i B_i`` holds under any partitioning), and (ii) every
+    ``B = ⊔_i B_i`` holds under any partitioning), (ii) every
     condition of the first step to entail key equality, so a site's
-    contributions always target groups present in its local ``B_i``.
+    contributions always target groups present in its local ``B_i``,
+    and (iii) the key to cover every base attribute: the coordinator
+    rebuilds the base as one row per distinct key, so base tuples that
+    share a key would collapse into one.
     """
-    if not expression.base.computed_from_detail:
+    base = expression.base
+    if not base.computed_from_detail:
+        return False
+    if not (isinstance(base, ProjectionBase)
+            and set(base.attrs) <= set(expression.key)):
         return False
     return step_entails_key_equality(first_step, expression.key)

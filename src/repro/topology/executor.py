@@ -526,8 +526,8 @@ class TreeEngine(SkallaEngine):
         phase.communication_seconds += network.end_phase()
 
         def merge(relations: "list[Relation]") -> Relation:
-            return merge_states(relations, key, step.aggregates,
-                                self.detail_schema)
+            return merge_states(relations, step.merge_key(key),
+                                step.aggregates, self.detail_schema)
 
         root_inputs, (merge_compute, comm), _ = self._ascend(
             self.topology.root, payloads, merge, network.log,

@@ -1,19 +1,27 @@
 """Unit tests for coordinator synchronization (Theorem 1 merging)."""
 
 import math
+import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from tests.seeding import seeded
 
 from repro.errors import PlanError
-from repro.relational.aggregates import AggregateSpec, count_star
+from repro.relational.aggregates import (
+    AggregateSpec, count_star, primitive_empty)
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
+from repro.relational.schema import Attribute, Schema
+from repro.relational.types import DataType
 from repro.core.expression_tree import GmdjExpression, ProjectionBase
 from repro.core.gmdj import Gmdj
 from repro.core.evaluator import STATES, evaluate_gmdj
 from repro.distributed.coordinator import Coordinator, merge_states
 from repro.distributed.partition import partition_round_robin
-from repro.distributed.plan import LocalStep
+from repro.distributed.plan import ROW_ID, LocalStep
 from repro.distributed.site import SkallaSite
 
 
@@ -59,9 +67,12 @@ class TestStepSync:
         coordinator.synchronize_base([Relation.from_dicts(
             [{"g": 1}, {"g": 2}])])
         step = LocalStep((make_expression().rounds[0],))
-        h1 = states([{"g": 1, "n__count": 2, "m__sum": 10.0, "m__count": 2}])
-        h2 = states([{"g": 1, "n__count": 1, "m__sum": 20.0, "m__count": 1},
-                     {"g": 2, "n__count": 4, "m__sum": 4.0, "m__count": 4}])
+        h1 = states([{ROW_ID: 0, "n__count": 2, "m__sum": 10.0,
+                      "m__count": 2}])
+        h2 = states([{ROW_ID: 0, "n__count": 1, "m__sum": 20.0,
+                      "m__count": 1},
+                     {ROW_ID: 1, "n__count": 4, "m__sum": 4.0,
+                      "m__count": 4}])
         merged, __ = coordinator.synchronize_step(step, [h1, h2])
         rows = {row["g"]: row for row in merged.to_dicts()}
         assert rows[1]["n"] == 3
@@ -72,7 +83,8 @@ class TestStepSync:
         coordinator.synchronize_base([Relation.from_dicts(
             [{"g": 1}, {"g": 5}])])
         step = LocalStep((make_expression().rounds[0],))
-        h1 = states([{"g": 1, "n__count": 2, "m__sum": 6.0, "m__count": 2}])
+        h1 = states([{ROW_ID: 0, "n__count": 2, "m__sum": 6.0,
+                      "m__count": 2}])
         merged, __ = coordinator.synchronize_step(step, [h1])
         rows = {row["g"]: row for row in merged.to_dicts()}
         assert rows[5]["n"] == 0
@@ -168,6 +180,21 @@ def _nan_keys():
     return inputs, ["g"], [count_star("n")], detail_schema, expected
 
 
+def _var_m2():
+    # Chan's m2 merge, on values whose means are exact in binary
+    detail = Relation.from_dicts([
+        {"g": 1, "v": 1.0}, {"g": 1, "v": 3.0}, {"g": 2, "v": 5.0},
+        {"g": 1, "v": 2.0}, {"g": 1, "v": 6.0}, {"g": 2, "v": 7.0}])
+    gmdj = Gmdj.single([AggregateSpec("var", "v", "s2"),
+                        AggregateSpec("stddev", "v", "sd")], r.g == b.g)
+    base = detail.distinct(["g"])
+    halves = [detail.head(3), detail.filter(np.arange(6) >= 3)]
+    inputs = [evaluate_gmdj(gmdj, base, half, output=STATES)
+              for half in halves]
+    expected = evaluate_gmdj(gmdj, base, detail, output=STATES)
+    return inputs, ["g"], gmdj.all_aggregates, detail.schema, expected
+
+
 MERGE_CASES = {
     "merges_by_key": _merges_by_key,
     "empty_input": _empty_input,
@@ -175,6 +202,7 @@ MERGE_CASES = {
     "grand_total_over_empty": _grand_total_over_empty,
     "sketch_trailing_nul": _sketch_trailing_nul,
     "nan_keys": _nan_keys,
+    "var_m2": _var_m2,
 }
 
 
@@ -190,8 +218,74 @@ def assert_identical(actual: Relation, expected: Relation) -> None:
             assert got.tobytes() == want.tobytes(), name
 
 
+def _key_of(relation: Relation, row: int, key) -> tuple:
+    """A hashable key tuple; NaN keys compare equal, as in grouping."""
+    values = []
+    for name in key:
+        value = relation.column(name)[row]
+        values.append("NaN" if isinstance(value, float) and math.isnan(value)
+                      else value)
+    return tuple(values)
+
+
+def _state_fields(aggregates, detail_schema):
+    return [field for spec in aggregates
+            for field in spec.state_fields(detail_schema)]
+
+
+def place_onto(keyed: Relation, key, onto: Relation, aggregates,
+               detail_schema) -> Relation:
+    """A keyed merge's states placed onto ``onto``'s rows by key.
+
+    The reference the positional mode must reproduce: an ``onto`` row
+    whose key no merged row has gets each primitive's empty state.
+    """
+    position = {_key_of(keyed, row, key): row
+                for row in range(keyed.num_rows)}
+    hits = [position.get(_key_of(onto, row, key))
+            for row in range(onto.num_rows)]
+    fields = _state_fields(aggregates, detail_schema)
+    columns = {name: onto.column(name) for name in key}
+    for field in fields:
+        values = keyed.column(field.name)
+        placed = np.empty(onto.num_rows, dtype=field.dtype.numpy_dtype)
+        for row, hit in enumerate(hits):
+            placed[row] = (primitive_empty(field.primitive) if hit is None
+                           else values[hit])
+        columns[field.name] = placed
+    schema = Schema([*(onto.schema[name] for name in key),
+                     *(Attribute(field.name, field.dtype)
+                       for field in fields)])
+    return Relation(schema, columns)
+
+
+def with_row_ids(sub_result: Relation, key, onto: Relation, aggregates,
+                 detail_schema) -> Relation:
+    """``sub_result`` as a site shipped ``onto`` returns it: row ids."""
+    position = {_key_of(onto, row, key): row for row in range(onto.num_rows)}
+    ids = np.array([position[_key_of(sub_result, row, key)]
+                    for row in range(sub_result.num_rows)], dtype=np.int64)
+    fields = _state_fields(aggregates, detail_schema)
+    schema = Schema([Attribute(ROW_ID, DataType.INT64),
+                     *(sub_result.schema[field.name] for field in fields)])
+    return Relation(schema, {ROW_ID: ids,
+                             **{field.name: sub_result.column(field.name)
+                                for field in fields}})
+
+
+def structure_for(keyed: Relation, key) -> Relation:
+    """An X over the merged keys: reversed, plus one row no site hit."""
+    keys = keyed.project(key)
+    values = keys.column(key[0])
+    extra = (float(np.nanmax(values)) if len(values) else 0.0) + 1000.0
+    unmatched = Relation(keys.schema, {
+        key[0]: np.array([extra]).astype(values.dtype)})
+    return Relation.concat([keys.take(np.arange(keys.num_rows)[::-1]),
+                            unmatched])
+
+
 class TestMergeStates:
-    """The one Theorem-1 merge, keyed and onto a structure X."""
+    """The one Theorem-1 merge: keyed, and positional onto X."""
 
     @pytest.mark.parametrize("case", list(MERGE_CASES))
     def test_merge_states(self, case):
@@ -199,14 +293,77 @@ class TestMergeStates:
             MERGE_CASES[case]()
         merged = merge_states(inputs, key, aggregates, detail_schema)
         assert_identical(merged, expected)
-        if key:
-            # onto X = the keyed result's own keys: both modes agree
-            state_names = [field.name for spec in aggregates
-                           for field in spec.state_fields(detail_schema)]
-            placed = merge_states(inputs, key, aggregates, detail_schema,
-                                  onto=merged.project(key))
-            assert_identical(placed,
-                             merged.project([*key, *state_names]))
+
+    @pytest.mark.parametrize(
+        "case", [case for case in MERGE_CASES
+                 if case != "grand_total_over_empty"])
+    @pytest.mark.parametrize("order", ["in_order", "shuffled"])
+    def test_positional_matches_keyed_then_placed(self, case, order):
+        inputs, key, aggregates, detail_schema, expected = \
+            MERGE_CASES[case]()
+        if order == "shuffled":
+            inputs = inputs[::-1]
+        onto = structure_for(expected, key)
+        positional = merge_states(
+            [with_row_ids(relation, key, onto, aggregates, detail_schema)
+             for relation in inputs],
+            key, aggregates, detail_schema, onto=onto)
+        keyed = merge_states(inputs, key, aggregates, detail_schema)
+        assert_identical(positional, place_onto(keyed, key, onto, aggregates,
+                                                detail_schema))
+
+
+#: examples for the positional-vs-keyed property (CI raises it)
+EXAMPLES = int(os.environ.get("REPRO_DIFFERENTIAL_EXAMPLES", "25"))
+
+PROPERTY_SCHEMA = Schema.of(("g", DataType.INT64), ("v", DataType.FLOAT64))
+
+
+class TestPositionalProperty:
+    """Random sub-results in shuffled site order: the positional merge
+    equals the keyed merge placed onto X, bit for bit."""
+
+    @seeded
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(data=st.data())
+    def test_positional_agrees_with_keyed(self, data):
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, 6),
+                      st.floats(-1000, 1000, allow_nan=False, width=32)),
+            min_size=1, max_size=40))
+        detail = Relation.from_rows(PROPERTY_SCHEMA, rows)
+        keys = data.draw(st.lists(st.integers(0, 8), unique=True,
+                                  max_size=9))
+        onto = Relation(PROPERTY_SCHEMA.project(["g"]),
+                        {"g": np.array(keys, dtype=np.int64)})
+        num_sites = data.draw(st.integers(1, 4))
+        assignment = np.array(data.draw(st.lists(
+            st.integers(0, num_sites - 1), min_size=detail.num_rows,
+            max_size=detail.num_rows)))
+        gmdj = Gmdj.single(
+            [count_star("n"), AggregateSpec("sum", "v", "s"),
+             AggregateSpec("min", "v", "lo"), AggregateSpec("max", "v", "hi"),
+             AggregateSpec("var", "v", "s2"),
+             AggregateSpec("approx_count_distinct", "v", "d")],
+            r.g == b.g)
+        step = LocalStep((gmdj,))
+        reduce = data.draw(st.booleans())
+        shipped = [SkallaSite(site, detail.filter(assignment == site))
+                   .execute_step(step, onto, [ROW_ID, "g"], None, reduce)[0]
+                   for site in range(num_sites)]
+        order = data.draw(st.permutations(range(num_sites)))
+        shipped = [shipped[site] for site in order]
+        aggregates = gmdj.all_aggregates
+        names = [field.name
+                 for field in _state_fields(aggregates, detail.schema)]
+        positional = merge_states(
+            [relation.project([ROW_ID, *names]) for relation in shipped],
+            ["g"], aggregates, detail.schema, onto=onto)
+        keyed = merge_states(
+            [relation.project(["g", *names]) for relation in shipped],
+            ["g"], aggregates, detail.schema)
+        assert_identical(positional, place_onto(keyed, ["g"], onto,
+                                                aggregates, detail.schema))
 
 
 class TestSiteCoordinatorRoundTrip:
@@ -227,7 +384,8 @@ class TestSiteCoordinatorRoundTrip:
             bases.append(base)
         merged_base, __ = coordinator.synchronize_base(bases)
         step = LocalStep((expression.rounds[0],))
-        subs = [site.execute_step(step, merged_base, ["g"], None, False)[0]
+        subs = [site.execute_step(step, merged_base, [ROW_ID], None,
+                                  False)[0]
                 for site in sites]
         result, __ = coordinator.synchronize_step(step, subs)
         assert result.multiset_equals(reference)

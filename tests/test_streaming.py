@@ -12,7 +12,7 @@ from repro.distributed.coordinator import (
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import (
-    ALL_OPTIMIZATIONS, LocalStep, NO_OPTIMIZATIONS)
+    ALL_OPTIMIZATIONS, ROW_ID, LocalStep, NO_OPTIMIZATIONS)
 from repro.distributed.site import SkallaSite
 
 
@@ -44,7 +44,7 @@ class TestIncrementalSynchronizer:
         batch_coordinator.set_base(base)
         stream_coordinator.set_base(base)
 
-        subs = [site.execute_step(step, base, ["g"], None, False)[0]
+        subs = [site.execute_step(step, base, [ROW_ID], None, False)[0]
                 for site in sites]
         batch, __ = batch_coordinator.synchronize_step(step, subs)
 

@@ -1,16 +1,22 @@
 """Tests for synchronization reduction guards (Prop. 2, Thm. 5, Cor. 1)."""
 
+import numpy as np
+import pytest
 
 from repro.relational.aggregates import count_star
 from repro.relational.expressions import b, r
 from repro.relational.relation import Relation
 from repro.core.builder import QueryBuilder, agg
-from repro.core.expression_tree import GmdjExpression, RelationBase
+from repro.core.expression_tree import (
+    GmdjExpression, ProjectionBase, RelationBase)
 from repro.core.gmdj import Gmdj
+from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import DistributionInfo, RangeConstraint
+from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.optimizer.sync_reduction import (
     base_round_removable, can_merge_rounds, common_partition_attrs,
     group_rounds_into_steps, step_entails_key_equality)
+from repro.topology import TreeEngine, TreeNode, TreeTopology
 
 
 def make_info():
@@ -152,3 +158,55 @@ class TestEndToEndSyncCounts:
         assert result.metrics.num_synchronizations == 2
         assert result.relation.multiset_equals(
             expr.evaluate_centralized(small_flows))
+
+
+def _key_shorter_than_base():
+    """``K = (g,)`` over a ``(g, h)`` base, ``h`` not determined by ``g``."""
+    detail = Relation.from_dicts([
+        {"g": 0, "h": 0, "v": 1}, {"g": 0, "h": 1, "v": 2},
+        {"g": 0, "h": 0, "v": 4}])
+    partitions = {0: detail.head(2), 1: detail.take(np.array([2]))}
+    expression = GmdjExpression(
+        ProjectionBase(("g", "h")),
+        (Gmdj.single([count_star("n"), agg("sum", "v", "s")], r.g == b.g),),
+        ("g",))
+    return partitions, expression
+
+
+class TestKeyShorterThanBase:
+    """Two base tuples share a key: every X row still gets its own
+    Theorem-1 merge, and Prop. 2 stays off (the rebuilt base would keep
+    one tuple per key)."""
+
+    def test_prop2_needs_key_covering_base(self):
+        __, expression = _key_shorter_than_base()
+        assert not base_round_removable(expression,
+                                        list(expression.rounds))
+
+    @pytest.mark.parametrize("topology", ["flat", "tree"])
+    @pytest.mark.parametrize("flags", [NO_OPTIMIZATIONS,
+                                       OptimizationFlags(sync_reduction=True)],
+                             ids=["none", "sync_reduction"])
+    @pytest.mark.parametrize("run", ["cold", "after_append_cached"])
+    def test_matches_oracle(self, topology, flags, run):
+        partitions, expression = _key_shorter_than_base()
+        if topology == "flat":
+            engine = SkallaEngine(partitions, cache=True)
+        else:
+            engine = TreeEngine(partitions, topology=TreeTopology(TreeNode(
+                "root", node_children=(TreeNode("agg0", (0, 1)),))),
+                cache=True)
+        with engine:
+            engine.execute(expression, flags)
+            if run == "after_append_cached":
+                engine.append(0, Relation.from_dicts(
+                    [{"g": 0, "h": 7, "v": 8}]))
+            result = engine.execute(expression, flags)
+            reference = expression.evaluate_centralized(
+                engine.total_detail_relation())
+        assert result.relation.multiset_equals(reference)
+        if run == "cold":
+            assert sorted(result.relation.to_dicts(),
+                          key=lambda row: row["h"]) == [
+                {"g": 0, "h": 0, "n": 3, "s": 7},
+                {"g": 0, "h": 1, "n": 3, "s": 7}]

@@ -231,6 +231,36 @@ class TestParity:
         assert not after.relation.multiset_equals(before.relation)
         assert after.relation.multiset_equals(expected)
 
+    def test_append_racing_a_respawn_is_not_lost(self, detail):
+        # A respawn snapshots the site while the worker starts (a late
+        # hedged loser can respawn while the caller moves on).  An
+        # append landing between that snapshot and the worker's
+        # registration must not leave the pre-append fragment serving.
+        query = correlated_query()
+        extra = Relation.from_dicts([
+            {"g": 1, "v": 9999.0, "name": "new", "flag": True}],
+            schema=detail.schema)
+        with make_engine(detail, "process", hedge=False) as engine:
+            engine.execute(query, NO_OPTIMIZATIONS)
+            engine.append(0, extra)  # site 0 respawns on its next call
+            transport = engine.transport
+            spawn = transport._spawn
+            raced = []
+
+            def spawn_then_append(site_id):
+                worker = spawn(site_id)
+                if site_id == 0 and not raced:
+                    raced.append(site_id)
+                    engine.append(0, extra)
+                return worker
+            transport._spawn = spawn_then_append
+            engine.execute(query, NO_OPTIMIZATIONS)
+            assert raced
+            after = engine.execute(query, NO_OPTIMIZATIONS)
+            expected = query.evaluate_centralized(
+                engine.total_detail_relation())
+        assert after.relation.multiset_equals(expected)
+
 
 # ---------------------------------------------------------------------------
 # Retry semantics (all backends share the loop)
