@@ -1,7 +1,7 @@
 """Extension — CUBE lattice vs naive per-cuboid rounds on TPCR (CI gate).
 
 A full ``GROUP BY CUBE`` over d attributes names 2^d cuboids.  The naive
-distributed evaluation (``repro.sql.cube_support.CompiledCube``) runs
+distributed evaluation (``repro.cube.execute_per_cuboid``) runs
 one GMDJ round per cuboid, so every site re-scans its fragment and
 ships a state relation 2^d times.  The lattice scheduler
 (``repro.cube``) scatters only the lattice *sources* — for a full cube,
@@ -12,8 +12,8 @@ wire carries one state relation per source instead of one per cuboid.
 Each entry runs the same CUBE statement both ways on the same
 round-robin TPCR warehouse and compares:
 
-* **naive** — one distributed round per granularity plus the grand
-  total (the pre-lattice behaviour, kept as the counterfactual);
+* **naive** — one distributed round per granularity, the grand total
+  included (the per-cuboid fallback, run here as the counterfactual);
 * **lattice** — round-per-level scheduling with a
   :class:`~repro.cube.store.CuboidStore`, then a follow-up slice query
   answered *entirely* from the materialized ancestor (zero sites, zero
@@ -48,14 +48,14 @@ from pathlib import Path
 
 from repro.core.cube import groupby_expression
 from repro.cube import (
-    CuboidStore, compile_lattice, execute_lattice, run_centralized)
+    CuboidStore, compile_lattice, execute_lattice, execute_per_cuboid,
+    run_centralized)
 from repro.cube.serving import serve_statement
 from repro.data.tpch import generate_tpcr
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import OptimizationFlags
 from repro.relational.aggregates import AggregateSpec, count_star
-from repro.sql.cube_support import compile_cube
 from repro.sql.parser import parse
 
 NUM_SITES = 4
@@ -111,11 +111,10 @@ def run_entry(num_dims: int) -> dict[str, object]:
 
     naive_engine = SkallaEngine(dict(partitions))
     try:
-        compiled = compile_cube(sql, detail.schema)
-        naive_relation, naive_runs = compiled.execute(naive_engine, flags)
+        naive_execution = execute_per_cuboid(naive_engine, plan, flags)
     finally:
         naive_engine.close()
-    naive = _round_numbers([run.metrics for run in naive_runs])
+    naive = _round_numbers([run.metrics for run in naive_execution.runs])
 
     engine = SkallaEngine(dict(partitions))
     store = CuboidStore()
@@ -148,7 +147,8 @@ def run_entry(num_dims: int) -> dict[str, object]:
         },
         "identical": (
             execution.relation.multiset_equals(oracle)
-            and execution.relation.multiset_equals(naive_relation)
+            and execution.relation.multiset_equals(
+                naive_execution.relation)
             and served_relation.multiset_equals(slice_oracle)),
     }
 

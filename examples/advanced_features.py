@@ -1,11 +1,12 @@
-"""Beyond the paper: trees, streaming, cost-based planning, persistence.
+"""Beyond the paper: trees, stragglers, cost-based planning, persistence.
 
 Four extension features on one warehouse:
 
 1. **cost-based flag selection** — let the statistics-driven cost model
    pick the optimization flags instead of hand-choosing them;
-2. **streaming synchronization** under a straggler site (Sect. 3.2's
-   remark, with a per-site slowdown knob);
+2. **a straggler site** (the per-site slowdown knob): synchronization
+   waits for every site's sub-aggregates and merges them once, in site
+   order, so the straggler costs time but never changes the answer;
 3. **multi-tier coordinator** — the paper's future-work aggregation
    tree, compared with the flat star at 16 sites;
 4. **persistence** — save the warehouse, reload, re-run, same answer.
@@ -57,17 +58,15 @@ def main() -> None:
     print(f"(model predicted {unopt_estimate.bytes_total:,.0f} bytes "
           f"for the unoptimized plan)\n")
 
-    # ---- 2. streaming synchronization with a straggler ------------------
-    print("== streaming synchronization, site 0 slowed 20x ==")
+    # ---- 2. a straggler site ----------------------------------------------
+    print("== straggler: site 0 slowed 20x ==")
     slow_engine = SkallaEngine(partitions, info,
                                site_slowdowns={0: 20.0})
-    barrier = slow_engine.execute(query, NO_OPTIMIZATIONS,
-                                  streaming=False)
-    streamed = slow_engine.execute(query, NO_OPTIMIZATIONS,
-                                   streaming=True)
-    assert streamed.relation.multiset_equals(barrier.relation)
-    print(f"barrier  : {barrier.metrics.response_seconds:.3f}s")
-    print(f"streaming: {streamed.metrics.response_seconds:.3f}s\n")
+    slowed = slow_engine.execute(query, NO_OPTIMIZATIONS)
+    assert slowed.relation.multiset_equals(baseline.relation)
+    print(f"balanced : {baseline.metrics.response_seconds:.3f}s")
+    print(f"straggler: {slowed.metrics.response_seconds:.3f}s "
+          f"(same result)\n")
 
     # ---- 3. multi-tier coordinator -----------------------------------------
     print("== flat star vs fanout-4 aggregation tree (16 sites) ==")

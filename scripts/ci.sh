@@ -11,8 +11,9 @@
 #                               when pytest-cov is not installed)
 #   scripts/ci.sh differential  the oracle harness at 200 examples per
 #                               transport, plus the positional-vs-keyed
-#                               merge property, re-run under three
-#                               distinct seeds (REPRO_TEST_SEED)
+#                               merge property and the cuboid-lattice
+#                               properties, re-run under three distinct
+#                               seeds (REPRO_TEST_SEED)
 #   scripts/ci.sh bench         the transport, cache, parallel-dispatch,
 #                               and sketch-traffic benchmarks as smoke
 #                               tests, at a reduced row count so they
@@ -108,7 +109,7 @@ differential() {
         REPRO_TEST_SEED=$seed REPRO_DIFFERENTIAL_EXAMPLES=200 \
             "$PYTHON" -m pytest tests/test_differential.py \
             tests/test_differential_sketches.py tests/test_coordinator.py \
-            -x -q
+            tests/test_cube_lattice.py -x -q
     done
 }
 

@@ -7,8 +7,7 @@ from repro.core.coalesce import (
     can_coalesce, coalesce_adjacent, coalesce_expression,
     coalesced_round_count)
 from repro.core.cube import (
-    ALL, cube, cube_expressions, groupby_expression, rollup,
-    rollup_expressions)
+    ALL, grand_total_expression, groupby_expression)
 from repro.core.evaluator import FINALIZED, STATES, evaluate_gmdj
 from repro.core.expression_tree import (
     BaseQuery, GmdjExpression, ProjectionBase, RelationBase, expression)
@@ -22,8 +21,7 @@ __all__ = [
     "QueryBuilder", "agg",
     "can_coalesce", "coalesce_adjacent", "coalesce_expression",
     "coalesced_round_count",
-    "ALL", "cube", "cube_expressions", "groupby_expression", "rollup",
-    "rollup_expressions",
+    "ALL", "grand_total_expression", "groupby_expression",
     "FINALIZED", "STATES", "evaluate_gmdj",
     "BaseQuery", "GmdjExpression", "ProjectionBase", "RelationBase",
     "expression",

@@ -1,32 +1,31 @@
-"""Data-cube style OLAP helpers expressed through GMDJs.
+"""Data-cube granularities expressed as GMDJs.
 
 Section 1 of the paper notes that GMDJ expressions uniformly capture OLAP
-constructs such as the CUBE BY of Gray et al. [12].  This module provides
-that sugar: :func:`cube_expressions` compiles a cube over grouping
-attributes into one GMDJ expression per granularity (each a distinct
-projection base plus a single equi-join GMDJ), and :func:`cube` /
-:func:`rollup` evaluate them centrally and stitch the granularities into
-one relation with ``"ALL"`` markers.
+constructs such as the CUBE BY of Gray et al. [12].  This module builds
+the per-granularity expressions: :func:`groupby_expression` for a
+non-empty grouping (a distinct projection base plus a single equi-join
+GMDJ) and :func:`grand_total_expression` for the ``()`` granularity.
 
 Every generated expression is an ordinary :class:`GmdjExpression`, so the
-distributed Skalla engine can evaluate cube granularities exactly like
-any other query (see ``examples/distributed_cube.py``).
+distributed Skalla engine evaluates cube granularities exactly like any
+other query.  Planning, rollup and stitching of whole cubes live in
+:mod:`repro.cube`.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import QueryError
 from repro.relational.aggregates import AggregateSpec
-from repro.relational.expressions import And, b, r
+from repro.relational.expressions import And, Literal, b, r
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, Schema
 from repro.relational.types import DataType
-from repro.core.expression_tree import GmdjExpression, ProjectionBase
+from repro.core.expression_tree import (
+    GmdjExpression, ProjectionBase, RelationBase)
 from repro.core.gmdj import Gmdj
 
 #: Marker used for rolled-up attributes in stitched cube output.
@@ -44,96 +43,25 @@ def groupby_expression(attrs: Sequence[str],
     """
     if not attrs:
         raise QueryError("grouping requires at least one attribute; "
-                         "use relational.group_by for grand totals")
+                         "use grand_total_expression for grand totals")
     condition = And.of(*(r[attr] == b[attr] for attr in attrs))
     return GmdjExpression(ProjectionBase(tuple(attrs)),
                           (Gmdj.single(aggregates, condition),),
                           tuple(attrs))
 
 
-def cube_expressions(attrs: Sequence[str],
-                     aggregates: Sequence[AggregateSpec],
-                     ) -> list[tuple[tuple[str, ...], GmdjExpression]]:
-    """One GMDJ expression per non-empty cube granularity of ``attrs``.
+def grand_total_expression(aggregates: Sequence[AggregateSpec],
+                           ) -> GmdjExpression:
+    """The ``()`` granularity as a distributable GMDJ.
 
-    Granularities are all non-empty subsets, coarsest last.  The empty
-    (grand total) granularity is omitted — it has no base-values key;
-    compute it with :func:`repro.relational.group_by` over no keys.
+    A one-row base relation and an always-true condition make every
+    detail tuple contribute to the single output row; the usual
+    sub-/super-aggregation then computes the grand total without ever
+    centralizing detail data, and empty input still yields the
+    SQL-standard single row.
     """
-    expressions = []
-    for size in range(len(attrs), 0, -1):
-        for subset in combinations(attrs, size):
-            expressions.append((subset, groupby_expression(subset, aggregates)))
-    return expressions
-
-
-def rollup_expressions(attrs: Sequence[str],
-                       aggregates: Sequence[AggregateSpec],
-                       ) -> list[tuple[tuple[str, ...], GmdjExpression]]:
-    """One GMDJ expression per rollup prefix of ``attrs`` (longest first)."""
-    expressions = []
-    for size in range(len(attrs), 0, -1):
-        prefix = tuple(attrs[:size])
-        expressions.append((prefix, groupby_expression(prefix, aggregates)))
-    return expressions
-
-
-def _stitch(granularities: Sequence[tuple[tuple[str, ...], Relation]],
-            attrs: Sequence[str],
-            aggregates: Sequence[AggregateSpec]) -> Relation:
-    """Combine per-granularity results into one ALL-marked relation."""
-    alias_attributes: list[Attribute] | None = None
-    parts = []
-    for subset, result in granularities:
-        if alias_attributes is None:
-            alias_attributes = [result.schema[spec.alias]
-                                for spec in aggregates]
-        schema = Schema([*(Attribute(attr, DataType.STRING)
-                           for attr in attrs), *alias_attributes])
-        columns: dict[str, np.ndarray] = {}
-        for attr in attrs:
-            if attr in subset:
-                columns[attr] = result.column(attr).astype(str).astype(object)
-            else:
-                columns[attr] = np.full(result.num_rows, ALL, dtype=object)
-        for spec in aggregates:
-            columns[spec.alias] = result.column(spec.alias)
-        parts.append(Relation(schema, columns))
-    return Relation.concat(parts)
-
-
-def cube(detail: Relation, attrs: Sequence[str],
-         aggregates: Sequence[AggregateSpec]) -> Relation:
-    """CUBE BY ``attrs`` over ``detail`` (centralized evaluation).
-
-    Grouping attributes come back as strings with rolled-up positions
-    holding the :data:`ALL` marker, mirroring Gray et al.'s presentation.
-    The grand-total row is included.
-    """
-    results = [(subset, expr.evaluate_centralized(detail))
-               for subset, expr in cube_expressions(attrs, aggregates)]
-    stitched = _stitch(results, attrs, aggregates)
-    return stitched.union_all(_grand_total(detail, attrs, aggregates,
-                                           stitched.schema))
-
-
-def rollup(detail: Relation, attrs: Sequence[str],
-           aggregates: Sequence[AggregateSpec]) -> Relation:
-    """ROLLUP over ``attrs`` (centralized evaluation), grand total included."""
-    results = [(prefix, expr.evaluate_centralized(detail))
-               for prefix, expr in rollup_expressions(attrs, aggregates)]
-    stitched = _stitch(results, attrs, aggregates)
-    return stitched.union_all(_grand_total(detail, attrs, aggregates,
-                                           stitched.schema))
-
-
-def _grand_total(detail: Relation, attrs: Sequence[str],
-                 aggregates: Sequence[AggregateSpec],
-                 schema: Schema) -> Relation:
-    from repro.relational.operators import group_by
-    totals = group_by(detail, [], aggregates)
-    columns: dict[str, np.ndarray] = {
-        attr: np.full(1, ALL, dtype=object) for attr in attrs}
-    for spec in aggregates:
-        columns[spec.alias] = totals.column(spec.alias)
-    return Relation(schema, columns)
+    spine = Relation.from_columns(
+        Schema([Attribute("__one", DataType.INT64)]),
+        {"__one": np.array([1], dtype=np.int64)})
+    gmdj = Gmdj.single(list(aggregates), Literal(True))
+    return GmdjExpression(RelationBase(spine), (gmdj,), ("__one",))

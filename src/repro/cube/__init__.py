@@ -11,7 +11,8 @@ from repro.cube.lattice import (
     CubeLatticePlan, compile_lattice, cube_sets, requested_sets,
     rollup_sets)
 from repro.cube.executor import (
-    CubeExecution, execute_lattice, run_centralized, stitch_cuboids)
+    CubeExecution, execute_lattice, execute_per_cuboid, run_centralized,
+    stitch_cuboids)
 from repro.cube.rollup import (
     derive_cuboid, finalize_states_relation, rollup_states)
 from repro.cube.store import (
@@ -20,8 +21,9 @@ from repro.cube.serving import serve_statement, servable_grouping
 
 __all__ = [
     "CubeLatticePlan", "compile_lattice", "cube_sets", "requested_sets",
-    "rollup_sets", "CubeExecution", "execute_lattice", "run_centralized",
-    "stitch_cuboids", "derive_cuboid", "finalize_states_relation",
-    "rollup_states", "CuboidStore", "MaterializedCuboid",
-    "aggregate_fingerprint", "serve_statement", "servable_grouping",
+    "rollup_sets", "CubeExecution", "execute_lattice", "execute_per_cuboid",
+    "run_centralized", "stitch_cuboids", "derive_cuboid",
+    "finalize_states_relation", "rollup_states", "CuboidStore",
+    "MaterializedCuboid", "aggregate_fingerprint", "serve_statement",
+    "servable_grouping",
 ]

@@ -5,9 +5,9 @@ by level (widest first); every other requested cuboid is derived
 coordinator-side by Theorem-1 rollup of the captured source states.
 Decomposable aggregates merge directly, APPROX_* roll their HLL/KLL
 sketch states up, and an aggregate registered with
-``rollup_safe=False`` drops the whole query to the per-cuboid fallback
-(one round per granularity, the pre-lattice behaviour) with the
-carve-out recorded in the query log.
+``rollup_safe=False`` drops the whole query to
+:func:`execute_per_cuboid` (one round per granularity, the naive
+evaluation), the only per-cuboid distributed path.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ from repro.distributed.metrics import QueryMetrics
 from repro.distributed.plan import NO_OPTIMIZATIONS, OptimizationFlags
 from repro.cube.lattice import CubeLatticePlan
 from repro.cube.rollup import derive_cuboid
-
-#: Relation-level marker reused from the centralized cube helpers.
-ALL_MARKER = ALL
 
 
 @dataclass
@@ -70,7 +67,7 @@ def stitch_cuboids(plan: CubeLatticePlan,
                 columns[attr] = piece.column(attr).astype(
                     str).astype(object)
             else:
-                columns[attr] = np.full(rows, ALL_MARKER, dtype=object)
+                columns[attr] = np.full(rows, ALL, dtype=object)
         for spec in plan.aggregates:
             columns[spec.alias] = piece.column(spec.alias)
         for grouping_attrs, alias in plan.groupings:
@@ -99,6 +96,47 @@ def _combined_metrics(engine, runs) -> QueryMetrics:
     return metrics
 
 
+def _grouped_piece(plan: CubeLatticePlan, subset: tuple[str, ...],
+                   relation: Relation) -> Relation:
+    """One cuboid's finalized relation as :func:`stitch_cuboids` takes it."""
+    if subset:
+        return relation
+    return relation.project([spec.alias for spec in plan.aggregates])
+
+
+def _lattice_execution(engine, plan: CubeLatticePlan, runs: list,
+                       pieces: Mapping[tuple[str, ...], Relation],
+                       derived: int, levels: int,
+                       states: dict) -> CubeExecution:
+    """Stitch the cuboids and combine the runs' metrics."""
+    metrics = _combined_metrics(engine, runs)
+    metrics.cuboids_total = len(plan.requested)
+    metrics.cuboids_derived = derived
+    metrics.lattice_levels = levels
+    return CubeExecution(
+        relation=stitch_cuboids(plan, pieces, engine.detail_schema),
+        metrics=metrics, runs=runs, source_states=states)
+
+
+def execute_per_cuboid(engine, plan: CubeLatticePlan,
+                       flags: OptimizationFlags = NO_OPTIMIZATIONS,
+                       ) -> CubeExecution:
+    """Run one distributed query per requested cuboid, then stitch.
+
+    The naive evaluation: no rollup, so it holds for every aggregate
+    — :func:`execute_lattice` falls back to it when an aggregate opted
+    out of lattice rollup, and benchmarks use it as the counterfactual.
+    """
+    pieces: dict[tuple[str, ...], Relation] = {}
+    runs = []
+    for subset in plan.requested:
+        result = engine.execute(plan.source_expression(subset), flags)
+        runs.append(result)
+        pieces[subset] = _grouped_piece(plan, subset, result.relation)
+    return _lattice_execution(engine, plan, runs, pieces, derived=0,
+                              levels=len(plan.requested), states={})
+
+
 def execute_lattice(engine, plan: CubeLatticePlan,
                     flags: OptimizationFlags = NO_OPTIMIZATIONS,
                     store=None) -> CubeExecution:
@@ -108,56 +146,32 @@ def execute_lattice(engine, plan: CubeLatticePlan,
     source cuboid's state relation is materialized in it, stamped with
     the engine's current ``data_version``.
     """
-    detail_schema = engine.detail_schema
+    if not plan.rollable:
+        return execute_per_cuboid(engine, plan, flags)
     pieces: dict[tuple[str, ...], Relation] = {}
     states: dict[tuple[str, ...], Relation] = {}
     runs = []
-    if plan.rollable:
-        for level in plan.levels:
-            for source in level:
-                result = engine.execute(plan.source_expression(source),
-                                        flags)
-                runs.append(result)
-                if source:
-                    pieces[source] = result.relation
-                else:
-                    pieces[()] = result.relation.project(
-                        [spec.alias for spec in plan.aggregates])
-                states[source] = result.states
-        for subset in plan.requested:
-            if subset in pieces:
-                continue
+    for level in plan.levels:
+        for source in level:
+            result = engine.execute(plan.source_expression(source), flags)
+            runs.append(result)
+            pieces[source] = _grouped_piece(plan, source, result.relation)
+            states[source] = result.states
+    for subset in plan.requested:
+        if subset not in pieces:
             source = plan.source_for(subset)
             pieces[subset] = derive_cuboid(
                 states[source], source, subset, plan.aggregates,
-                detail_schema)
-        derived = len(plan.requested) - len(plan.sources)
-        levels = len(plan.levels)
-    else:
-        # Carve-out: an aggregate opted out of lattice rollup — run one
-        # round per requested cuboid, exactly the naive evaluation.
-        for subset in plan.requested:
-            result = engine.execute(plan.source_expression(subset), flags)
-            runs.append(result)
-            if subset:
-                pieces[subset] = result.relation
-            else:
-                pieces[()] = result.relation.project(
-                    [spec.alias for spec in plan.aggregates])
-        derived = 0
-        levels = len(plan.requested)
-    stitched = stitch_cuboids(plan, pieces, detail_schema)
-    metrics = _combined_metrics(engine, runs)
-    metrics.cuboids_total = len(plan.requested)
-    metrics.cuboids_derived = derived
-    metrics.lattice_levels = levels
-    if store is not None and plan.rollable:
+                engine.detail_schema)
+    if store is not None:
         for source, state_relation in states.items():
             if state_relation is not None and source:
                 store.put(source, plan.aggregates, state_relation,
                           engine.data_version)
-    return CubeExecution(relation=stitched, metrics=metrics, runs=runs,
-                         source_states=states)
+    return _lattice_execution(
+        engine, plan, runs, pieces,
+        derived=len(plan.requested) - len(plan.sources),
+        levels=len(plan.levels), states=states)
 
 
 def run_centralized(plan: CubeLatticePlan, detail: Relation) -> Relation:
@@ -169,9 +183,7 @@ def run_centralized(plan: CubeLatticePlan, detail: Relation) -> Relation:
     rollup produce.
     """
     pieces: dict[tuple[str, ...], Relation] = {}
-    aliases = [spec.alias for spec in plan.aggregates]
     for subset in plan.requested:
-        expression = plan.source_expression(subset)
-        piece = expression.evaluate_centralized(detail)
-        pieces[subset] = piece if subset else piece.project(aliases)
+        relation = plan.source_expression(subset).evaluate_centralized(detail)
+        pieces[subset] = _grouped_piece(plan, subset, relation)
     return stitch_cuboids(plan, pieces, detail.schema)

@@ -24,10 +24,9 @@ from typing import Sequence
 from repro.errors import ParseError
 from repro.relational.aggregates import AggregateSpec
 from repro.relational.schema import Schema
-from repro.core.cube import groupby_expression
+from repro.core.cube import grand_total_expression, groupby_expression
 from repro.core.expression_tree import GmdjExpression
 from repro.sql.ast import SelectStatement
-from repro.sql.cube_support import grand_total_expression
 
 
 def cube_sets(attrs: Sequence[str]) -> tuple[tuple[str, ...], ...]:

@@ -133,12 +133,11 @@ def merge_states(sub_results: Sequence[Relation], key: Sequence[str],
 
     Every synchronization in the engine goes through this function —
     the coordinator, interior tree aggregators, virtual sub-site
-    merges, cache delta maintenance, streaming synchronization and cube
-    rollup.  State columns (one per field of each spec in
-    ``aggregates``) merge with the primitive's super-aggregate: counts
-    and sums add, mins/maxes take min/max, Chan ``m2`` states combine
-    and sketch states merge bytewise.  Rows of one group merge in input
-    order, so float sums are reproducible.
+    merges, cache delta maintenance and cube rollup.  State columns (one
+    per field of each spec in ``aggregates``) merge with the primitive's
+    super-aggregate: counts and sums add, mins/maxes take min/max, Chan
+    ``m2`` states combine and sketch states merge bytewise.  Rows of one
+    group merge in input order, so float sums are reproducible.
 
     * **Positional onto X** (``onto`` given): every sub-result carries
       :data:`~repro.distributed.plan.ROW_ID`, the position of its row in
@@ -208,43 +207,3 @@ def merge_states(sub_results: Sequence[Relation], key: Sequence[str],
                 field, per_group[field.name], everywhere, positions,
                 num_groups)
     return Relation(schema, columns)
-
-
-class IncrementalSynchronizer:
-    """Streaming synchronization (Sect. 3.2's remark).
-
-    "Since the GMDJ can be horizontally partitioned, the coordinator can
-    synchronize H with those sub-results it has already received while
-    receiving blocks of H from slower sites, rather than having to wait
-    for all of H to be assembled."
-
-    Each arriving sub-result is merged into a running accumulator keyed
-    on the step's merge key — the ``X`` row id, or K for an
-    ``include_base`` step (partial super-aggregation — sound by
-    Theorem 1's associative multiset union); :meth:`finish` performs the
-    final placement into the base-result structure and finalization.
-    The per-absorb timings let the engine overlap merging with transfers
-    from slower sites.
-    """
-
-    def __init__(self, coordinator: Coordinator, step: LocalStep):
-        self.coordinator = coordinator
-        self.step = step
-        self._accumulator: Relation | None = None
-
-    def absorb(self, sub_result: Relation) -> float:
-        """Merge one site's sub-result; returns the merge seconds."""
-        started = time.perf_counter()
-        if self._accumulator is None:
-            self._accumulator = sub_result
-        else:
-            self._accumulator = merge_states(
-                [self._accumulator, sub_result],
-                self.step.merge_key(self.coordinator.key),
-                self.step.aggregates, self.coordinator.detail_schema)
-        return time.perf_counter() - started
-
-    def finish(self) -> tuple[Relation, float]:
-        """Final placement + finalize; returns (new X, seconds)."""
-        pending = [] if self._accumulator is None else [self._accumulator]
-        return self.coordinator.synchronize_step(self.step, pending)

@@ -49,8 +49,7 @@ from repro.relational.relation import Relation
 from repro.cache import DELTA, HIT, MISS, SubAggregateCache
 from repro.cache.manager import CacheDecision
 from repro.core.expression_tree import GmdjExpression, RelationBase
-from repro.distributed.coordinator import (
-    Coordinator, IncrementalSynchronizer, merge_states)
+from repro.distributed.coordinator import Coordinator, merge_states
 from repro.distributed.messages import (
     CONTROL_MESSAGE_BYTES, COORDINATOR, ENVELOPE_BYTES, SiteId,
     control_message, relation_message)
@@ -350,15 +349,8 @@ class SkallaEngine:
     def execute(self, expression: GmdjExpression,
                 flags: OptimizationFlags = NO_OPTIMIZATIONS,
                 sites: Sequence[SiteId] | None = None,
-                plan: DistributedPlan | None = None,
-                streaming: bool = False) -> ExecutionResult:
-        """Plan (unless given) and run ``expression`` over the warehouse.
-
-        ``streaming`` enables incremental synchronization (Sect. 3.2):
-        the coordinator merges each site's sub-result as it arrives,
-        overlapping merge work and transfers with slower sites' local
-        computation.  Results are identical; the time model changes.
-        """
+                plan: DistributedPlan | None = None) -> ExecutionResult:
+        """Plan (unless given) and run ``expression`` over the warehouse."""
         if plan is None:
             # Imported here: the optimizer builds plans *for* this engine,
             # and importing it at module scope would be circular.
@@ -366,11 +358,10 @@ class SkallaEngine:
             plan = build_plan(expression, flags, self.info,
                               self.detail_schema,
                               sites=sites or self.site_ids)
-        return self.execute_plan(plan, sites=sites, streaming=streaming)
+        return self.execute_plan(plan, sites=sites)
 
     def execute_plan(self, plan: DistributedPlan,
                      sites: Sequence[SiteId] | None = None,
-                     streaming: bool = False,
                      step_sites: Mapping[int, Sequence[SiteId]] | None
                      = None) -> ExecutionResult:
         """Run a prepared plan over the participating ``sites``.
@@ -492,7 +483,7 @@ class SkallaEngine:
             self._synchronize_step(coordinator, step, expression.key,
                                    step_participants, sub_results,
                                    site_seconds, phase, network,
-                                   round_index, streaming)
+                                   round_index)
             metrics.phases.append(phase)
             metrics.num_synchronizations += 1
             round_index += 1
@@ -580,22 +571,16 @@ class SkallaEngine:
                           site_seconds: Sequence[float],
                           phase: PhaseMetrics,
                           network: SimulatedNetwork,
-                          round_index: int, streaming: bool) -> None:
+                          round_index: int) -> None:
         """Merge one step's sub-aggregates at the coordinator."""
-        if streaming:
-            network.end_phase()  # bytes are already logged; timing
-            # is replaced by the overlap model below.
-            self._streaming_synchronize(coordinator, step, sub_results,
-                                        site_seconds, phase)
-        else:
-            phase.site_seconds = max(site_seconds, default=0.0)
-            phase.communication_seconds += network.end_phase()
-            __, coordinator_seconds = coordinator.synchronize_step(
-                step, sub_results)
-            if self.compute_model is not None:
-                coordinator_seconds = self.compute_model.seconds(
-                    sum(h.num_rows for h in sub_results), 0)
-            phase.coordinator_seconds += coordinator_seconds
+        phase.site_seconds = max(site_seconds, default=0.0)
+        phase.communication_seconds += network.end_phase()
+        __, coordinator_seconds = coordinator.synchronize_step(
+            step, sub_results)
+        if self.compute_model is not None:
+            coordinator_seconds = self.compute_model.seconds(
+                sum(h.num_rows for h in sub_results), 0)
+        phase.coordinator_seconds += coordinator_seconds
 
     def _send_uplink(self, network: SimulatedNetwork, site_id: SiteId,
                      kind: str, relation: Relation, round_index: int,
@@ -1063,47 +1048,6 @@ class SkallaEngine:
                 retries=sum(p.retries for p in parts),
                 respawns=sum(p.respawns for p in parts))
         return merged
-
-    def _streaming_synchronize(self, coordinator, step, sub_results,
-                               site_seconds, phase) -> None:
-        """Incremental synchronization with an overlap time model.
-
-        Sites finish at different times; their transfers serialize on
-        the coordinator link in completion order; the coordinator merges
-        each fragment as it lands (Sect. 3.2).  The phase's duration is
-        the pipeline's makespan, decomposed so that the PhaseMetrics
-        components still sum to the total:
-
-        * ``site_seconds``    — the slowest site's compute,
-        * ``communication``   — how much later the last transfer lands,
-        * ``coordinator``     — merge work extending past the last
-          arrival, plus the final placement/finalization.
-        """
-        synchronizer = IncrementalSynchronizer(coordinator, step)
-        order = sorted(range(len(sub_results)),
-                       key=lambda position: site_seconds[position])
-        link_free = 0.0
-        merge_end = 0.0
-        last_arrival = 0.0
-        for position in order:
-            sub_result = sub_results[position]
-            occupancy = (sub_result.wire_bytes() + 64) / self.link.bandwidth
-            start = max(site_seconds[position], link_free)
-            # The link is held for the payload only; propagation latency
-            # overlaps with the next sender's transmission.
-            link_free = start + occupancy
-            arrival = link_free + self.link.latency
-            last_arrival = arrival
-            merge_seconds = synchronizer.absorb(sub_result)
-            merge_end = max(arrival, merge_end) + merge_seconds
-        __, finish_seconds = synchronizer.finish()
-        makespan = max(merge_end, last_arrival) + finish_seconds
-        slowest = max(site_seconds, default=0.0)
-        phase.site_seconds = slowest
-        phase.communication_seconds += max(0.0, last_arrival - slowest)
-        # += so coordinator-side delta-merge work accounted by the cache
-        # path survives when streaming synchronization is also on.
-        phase.coordinator_seconds += makespan - max(last_arrival, slowest)
 
     @staticmethod
     def _filter_for_site(structure: Relation, site_filter: Expr | None,

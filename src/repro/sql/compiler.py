@@ -185,8 +185,7 @@ def compile_query(source: str, detail_schema: Schema,
     if statement.cube_family:
         raise ParseError(
             "GROUP BY CUBE/ROLLUP/GROUPING SETS statements compile to a "
-            "cuboid lattice; use repro.sql.cube_support.compile_cube or "
-            "repro.cube.compile_lattice")
+            "cuboid lattice; use repro.cube.compile_lattice")
     statement, derived, hidden = _materialize_computed(statement)
     expression = compile_statement(statement, detail_schema,
                                    sketch_precision=sketch_precision)

@@ -226,18 +226,6 @@ class TreeEngine(SkallaEngine):
             self._subtree_pool.shutdown(wait=False)
             self._subtree_pool = None
 
-    # -- execution surface --------------------------------------------------
-
-    def execute_plan(self, plan, sites=None, streaming=False,
-                     step_sites=None):
-        if streaming:
-            raise PlanError(
-                "streaming synchronization is not supported over an "
-                "aggregation tree (interior merges already overlap "
-                "transfers); run with streaming=False")
-        return super().execute_plan(plan, sites=sites, streaming=False,
-                                    step_sites=step_sites)
-
     # -- metrics ------------------------------------------------------------
 
     def _annotate_metrics(self, metrics: QueryMetrics) -> None:
@@ -519,8 +507,7 @@ class TreeEngine(SkallaEngine):
 
     def _synchronize_step(self, coordinator: Coordinator, step, key,
                           step_participants, sub_results, site_seconds,
-                          phase, network, round_index, streaming):
-        assert not streaming  # rejected in execute_plan
+                          phase, network, round_index):
         payloads = self._take_uplinks()
         phase.site_seconds = max(site_seconds, default=0.0)
         phase.communication_seconds += network.end_phase()

@@ -131,14 +131,14 @@ class Warehouse:
 
     # -- querying --------------------------------------------------------------------
 
-    def sql(self, text: str, flags: OptimizationFlags | None = None,
-            streaming: bool = False) -> QueryResult:
+    def sql(self, text: str,
+            flags: OptimizationFlags | None = None) -> QueryResult:
         """Compile, optimize, execute, and post-process one statement.
 
-        ``GROUP BY CUBE`` statements are dispatched to the cube
-        pipeline: every granularity (plus the grand total) runs as its
-        own distributed query and the results are stitched into one
-        ALL-marked relation; the returned metrics aggregate all runs.
+        ``GROUP BY CUBE`` / ``ROLLUP`` / ``GROUPING SETS`` statements
+        are dispatched to the cuboid lattice (see :meth:`_run_cube`);
+        the result is one ALL-marked relation whose metrics aggregate
+        all of the lattice's rounds.
         """
         from repro.sql.parser import parse
         statement = parse(text)
@@ -149,7 +149,7 @@ class Warehouse:
             served = self._serve_from_cuboids(compiled, statement)
             if served is not None:
                 return served
-        return self.execute(compiled, flags=flags, streaming=streaming)
+        return self.execute(compiled, flags=flags)
 
     def _run_cube(self, statement,
                   flags: OptimizationFlags | None) -> QueryResult:
@@ -191,8 +191,7 @@ class Warehouse:
                            flags=OptimizationFlags(), compiled=compiled)
 
     def execute(self, query: CompiledQuery | GmdjExpression,
-                flags: OptimizationFlags | None = None,
-                streaming: bool = False) -> QueryResult:
+                flags: OptimizationFlags | None = None) -> QueryResult:
         """Run a compiled query or bare expression."""
         if isinstance(query, GmdjExpression):
             compiled = CompiledQuery(query)
@@ -202,8 +201,7 @@ class Warehouse:
         if flags is None:
             flags = (self.pick_flags(expression) if self.auto_optimize
                      else OptimizationFlags())
-        result = self.engine.execute(expression, flags,
-                                     streaming=streaming)
+        result = self.engine.execute(expression, flags)
         final = compiled.post_process(result.relation)
         return QueryResult(relation=final, metrics=result.metrics,
                            plan=result.plan, flags=flags,

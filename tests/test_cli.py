@@ -62,9 +62,6 @@ class TestQuery:
             assert main(["query", str(flow_dir), self.SQL,
                          "--optimize", level]) == 0
 
-    def test_query_streaming(self, flow_dir, capsys):
-        assert main(["query", str(flow_dir), self.SQL, "--streaming"]) == 0
-
     def test_query_explain_flag(self, flow_dir, capsys):
         assert main(["query", str(flow_dir), self.SQL, "--explain"]) == 0
         out = capsys.readouterr().out

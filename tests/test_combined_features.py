@@ -1,7 +1,7 @@
 """Cross-feature integration: the extension features composed.
 
 Each extension is tested in isolation elsewhere; these tests compose
-them — streaming + stragglers + retries + optimizations, hierarchy +
+them — stragglers + retries + optimizations, hierarchy +
 independent reduction, facade + faults — because feature interactions
 are where real systems break.
 """
@@ -43,7 +43,7 @@ class TestStreamingPlusFaultsPlusOptimizations:
         engine.sites[1] = FlakySite(1, partitions[1], failures=2)
         query = make_query()
         reference = query.evaluate_centralized(detail)
-        result = engine.execute(query, ALL_OPTIMIZATIONS, streaming=True)
+        result = engine.execute(query, ALL_OPTIMIZATIONS)
         assert result.relation.multiset_equals(reference)
         assert result.metrics.retries == 2
 
@@ -56,8 +56,8 @@ class TestStreamingPlusFaultsPlusOptimizations:
                                     slowdown=5.0)
         query = make_query()
         reference = query.evaluate_centralized(detail)
-        first = engine.execute(query, ALL_OPTIMIZATIONS, streaming=True)
-        second = engine.execute(query, ALL_OPTIMIZATIONS, streaming=True)
+        first = engine.execute(query, ALL_OPTIMIZATIONS)
+        second = engine.execute(query, ALL_OPTIMIZATIONS)
         assert first.relation.multiset_equals(reference)
         assert second.relation.multiset_equals(reference)
         assert first.metrics.retries == 1
@@ -106,6 +106,6 @@ class TestStoragePlusSlowdowns:
         loaded = load_warehouse(tmp_path / "wh")
         assert loaded.sites[0].slowdown == 7.5
         query = make_query()
-        result = loaded.execute(query, ALL_OPTIMIZATIONS, streaming=True)
+        result = loaded.execute(query, ALL_OPTIMIZATIONS)
         assert result.relation.multiset_equals(
             query.evaluate_centralized(detail))

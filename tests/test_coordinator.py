@@ -114,6 +114,14 @@ class TestStepSync:
         assert merged.num_rows == 0
         assert merged.schema.names == ("g", "n", "m")
 
+    def test_empty_sub_results_onto_base(self, coordinator):
+        coordinator.synchronize_base([Relation.from_dicts(
+            [{"g": 1}, {"g": 5}])])
+        step = LocalStep((make_expression().rounds[0],))
+        merged, __ = coordinator.synchronize_step(step, [])
+        assert list(merged.column("g")) == [1, 5]
+        assert all(value == 0 for value in merged.column("n"))
+
 
 def _merges_by_key():
     detail_schema = Relation.from_dicts([{"g": 1, "v": 1.0}]).schema

@@ -1,4 +1,9 @@
-"""Tests for cube/rollup helpers built on GMDJ expressions."""
+"""Tests for cube/rollup granularities built on GMDJ expressions.
+
+The centralized cube is :func:`repro.cube.run_centralized` over a
+:class:`~repro.cube.CubeLatticePlan`; the granularities come from
+:func:`~repro.cube.cube_sets` / :func:`~repro.cube.rollup_sets`.
+"""
 
 import pytest
 
@@ -6,9 +11,13 @@ from repro.errors import QueryError
 from repro.relational.aggregates import AggregateSpec, count_star
 from repro.relational.operators import group_by
 from repro.relational.relation import Relation
-from repro.core.cube import (
-    ALL, cube, cube_expressions, groupby_expression, rollup,
-    rollup_expressions)
+from repro.core.cube import ALL, groupby_expression
+from repro.cube import (
+    CubeLatticePlan, cube_sets, execute_lattice, rollup_sets,
+    run_centralized)
+from repro.distributed.engine import SkallaEngine
+from repro.distributed.partition import partition_round_robin
+from repro.distributed.plan import NO_OPTIMIZATIONS
 
 
 @pytest.fixture()
@@ -22,6 +31,17 @@ def sales():
 
 
 AGGS = [count_star("n"), AggregateSpec("sum", "amount", "total")]
+DIMS = ("region", "product")
+
+
+def cube_plan():
+    return CubeLatticePlan(attrs=DIMS, aggregates=tuple(AGGS),
+                           requested=cube_sets(DIMS))
+
+
+def rollup_plan():
+    return CubeLatticePlan(attrs=DIMS, aggregates=tuple(AGGS),
+                           requested=rollup_sets(DIMS), construct="ROLLUP")
 
 
 class TestGroupbyExpression:
@@ -38,11 +58,10 @@ class TestGroupbyExpression:
 
 class TestCube:
     def test_granularity_count(self):
-        expressions = cube_expressions(["a", "b", "c"], AGGS)
-        assert len(expressions) == 7  # 2^3 - 1 non-empty subsets
+        assert len(cube_sets(["a", "b", "c"])) == 8  # 2^3, () included
 
     def test_cube_values(self, sales):
-        result = cube(sales, ["region", "product"], AGGS)
+        result = run_centralized(cube_plan(), sales)
         rows = {(row["region"], row["product"]): row
                 for row in result.to_dicts()}
         assert rows[("east", "a")]["total"] == pytest.approx(10.0)
@@ -52,27 +71,43 @@ class TestCube:
         assert rows[(ALL, ALL)]["n"] == 4
 
     def test_cube_row_count(self, sales):
-        result = cube(sales, ["region", "product"], AGGS)
+        result = run_centralized(cube_plan(), sales)
         # finest: 3 groups; by region: 2; by product: 2; grand total: 1
         assert result.num_rows == 8
 
     def test_every_granularity_is_distributable(self, sales):
-        for __, expr in cube_expressions(["region", "product"], AGGS):
+        plan = cube_plan()
+        for subset in plan.requested:
+            expr = plan.source_expression(subset)
             assert expr.is_decomposable()
             expr.validate(sales.schema)
 
 
 class TestRollup:
     def test_prefixes_only(self):
-        expressions = rollup_expressions(["a", "b", "c"], AGGS)
-        subsets = [subset for subset, __ in expressions]
-        assert subsets == [("a", "b", "c"), ("a", "b"), ("a",)]
+        assert rollup_sets(["a", "b", "c"]) == (
+            ("a", "b", "c"), ("a", "b"), ("a",), ())
 
     def test_rollup_values(self, sales):
-        result = rollup(sales, ["region", "product"], AGGS)
+        result = run_centralized(rollup_plan(), sales)
         rows = {(row["region"], row["product"]): row["total"]
                 for row in result.to_dicts()}
         assert rows[("west", "a")] == pytest.approx(70.0)
         assert rows[("west", ALL)] == pytest.approx(70.0)
         assert rows[(ALL, ALL)] == pytest.approx(100.0)
         assert (ALL, "a") not in rows  # not a rollup granularity
+
+
+class TestEmptyInput:
+    @pytest.mark.parametrize("make_plan", [cube_plan, rollup_plan],
+                             ids=["cube", "rollup"])
+    def test_only_the_grand_total_row(self, sales, make_plan):
+        """SQL: CUBE/ROLLUP over no rows yields one grand-total row."""
+        plan = make_plan()
+        empty = sales.head(0)
+        centralized = run_centralized(plan, empty)
+        assert centralized.to_dicts() == [
+            {"region": ALL, "product": ALL, "n": 0, "total": 0.0}]
+        engine = SkallaEngine(partition_round_robin(empty, 3))
+        distributed = execute_lattice(engine, plan, NO_OPTIMIZATIONS)
+        assert distributed.relation.multiset_equals(centralized)

@@ -22,9 +22,15 @@ quantile sketch is merge-tree-sensitive, so its rollup is checked with
 the rank-containment oracle from ``test_differential_sketches`` plus a
 determinism check — the same split-oracle contract used everywhere
 else in the suite.
+
+Example counts scale with ``REPRO_DIFFERENTIAL_EXAMPLES`` (default 25;
+``scripts/ci.sh differential`` runs 200 under three seeds), as in
+``test_differential.py``.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -37,17 +43,16 @@ from repro.relational.aggregates import AggregateSpec, count_star
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
-from repro.core.cube import ALL, groupby_expression
+from repro.core.cube import ALL, grand_total_expression, groupby_expression
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import partition_round_robin
 from repro.distributed.plan import NO_OPTIMIZATIONS
 from repro.sketches.kll import DEFAULT_K as KLL_K, rank_error_bound
-from repro.sql.cube_support import grand_total_expression
 from repro.cube import (
     CubeLatticePlan, CuboidStore, aggregate_fingerprint, cube_sets,
     derive_cuboid, rollup_sets, rollup_states)
 
-EXAMPLES = 25
+EXAMPLES = int(os.environ.get("REPRO_DIFFERENTIAL_EXAMPLES", "25"))
 
 DETAIL_SCHEMA = Schema.of(("a", DataType.INT64), ("b", DataType.INT64),
                           ("c", DataType.FLOAT64), ("q", DataType.INT64))

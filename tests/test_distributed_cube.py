@@ -3,7 +3,8 @@
 import pytest
 
 from repro.relational.aggregates import AggregateSpec, count_star
-from repro.core.cube import cube, cube_expressions, rollup_expressions
+from repro.cube import (
+    CubeLatticePlan, cube_sets, rollup_sets, run_centralized)
 from repro.data.tpch import generate_tpcr
 from repro.distributed.engine import SkallaEngine
 from repro.distributed.partition import partition_round_robin
@@ -24,22 +25,30 @@ def engine(relation):
 
 
 class TestDistributedCube:
+    def _plan(self, requested):
+        return CubeLatticePlan(attrs=tuple(DIMS), aggregates=tuple(AGGS),
+                               requested=requested)
+
     def test_every_granularity_matches_centralized(self, relation, engine):
-        for subset, expression in cube_expressions(DIMS, AGGS):
+        plan = self._plan(cube_sets(DIMS))
+        for subset in plan.requested:
+            expression = plan.source_expression(subset)
             reference = expression.evaluate_centralized(relation)
             for flags in (NO_OPTIMIZATIONS, ALL_OPTIMIZATIONS):
                 result = engine.execute(expression, flags)
                 assert result.relation.multiset_equals(reference), subset
 
     def test_rollup_granularities(self, relation, engine):
-        for prefix, expression in rollup_expressions(DIMS, AGGS):
+        plan = self._plan(rollup_sets(DIMS))
+        for prefix in plan.requested:
+            expression = plan.source_expression(prefix)
             reference = expression.evaluate_centralized(relation)
             result = engine.execute(expression, ALL_OPTIMIZATIONS)
             assert result.relation.multiset_equals(reference), prefix
 
     def test_cube_consistency_across_granularities(self, relation):
         """Row-up invariants: coarse cells equal sums of finer cells."""
-        full = cube(relation, DIMS, AGGS)
+        full = run_centralized(self._plan(cube_sets(DIMS)), relation)
         rows = {(row["MktSegment"], row["OrderPriority"]): row
                 for row in full.to_dicts()}
         segments = {key[0] for key in rows if key[0] != "ALL"}

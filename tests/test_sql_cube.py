@@ -4,15 +4,19 @@ import pytest
 
 from repro.errors import ParseError
 from repro.relational.aggregates import AggregateSpec, count_star
-from repro.core.cube import ALL, cube
+from repro.relational.operators import group_by
+from repro.core.cube import ALL, grand_total_expression
+from repro.cube import compile_lattice, execute_per_cuboid, run_centralized
 from repro.sql.compiler import compile_query
-from repro.sql.cube_support import (
-    compile_cube, grand_total_expression)
 from repro.sql.parser import parse
 
 SQL = ("SELECT RouterId, DestPort, COUNT(*) AS n, "
        "SUM(NumBytes) AS total FROM Flow "
        "GROUP BY CUBE (RouterId, DestPort)")
+
+
+def lattice_plan(source, detail_schema):
+    return compile_lattice(parse(source), detail_schema)
 
 
 class TestParsing:
@@ -28,11 +32,11 @@ class TestParsing:
 
 class TestCompilation:
     def test_granularity_count(self, small_flows):
-        compiled = compile_cube(SQL, small_flows.schema)
-        assert len(compiled.granularities) == 3  # (a,b), (a), (b)
+        compiled = lattice_plan(SQL, small_flows.schema)
+        assert len(compiled.requested) == 4  # (a,b), (a), (b), ()
 
     def test_compile_query_redirects(self, small_flows):
-        with pytest.raises(ParseError, match="compile_cube"):
+        with pytest.raises(ParseError, match="compile_lattice"):
             compile_query(SQL, small_flows.schema)
 
     @pytest.mark.parametrize("clause", [
@@ -48,11 +52,11 @@ class TestCompilation:
         else:
             sql = SQL + clause
         with pytest.raises(ParseError, match="CUBE"):
-            compile_cube(sql, small_flows.schema)
+            lattice_plan(sql, small_flows.schema)
 
     def test_unknown_attr_rejected(self, small_flows):
         with pytest.raises(ParseError, match="not in the detail"):
-            compile_cube("SELECT Bogus, COUNT(*) AS n FROM Flow "
+            lattice_plan("SELECT Bogus, COUNT(*) AS n FROM Flow "
                          "GROUP BY CUBE (Bogus)", small_flows.schema)
 
 
@@ -73,25 +77,35 @@ class TestGrandTotal:
 
 class TestExecution:
     def test_centralized_matches_core_cube(self, small_flows):
-        compiled = compile_cube(SQL, small_flows.schema)
-        via_sql = compiled.run_centralized(small_flows)
-        reference = cube(small_flows, ["RouterId", "DestPort"],
-                         [count_star("n"),
-                          AggregateSpec("sum", "NumBytes", "total")])
-        assert via_sql.multiset_equals(reference)
+        """Every cuboid of the stitched cube equals a plain GROUP BY."""
+        compiled = lattice_plan(SQL, small_flows.schema)
+        result = run_centralized(compiled, small_flows).to_dicts()
+        aggregates = list(compiled.aggregates)
+        for subset in compiled.requested:
+            rows = [row for row in result
+                    if all((row[attr] == ALL) == (attr not in subset)
+                           for attr in compiled.attrs)]
+            reference = group_by(small_flows, list(subset), aggregates)
+            assert len(rows) == reference.num_rows, subset
+            expected = {tuple(str(row[attr]) for attr in subset):
+                        (row["n"], row["total"])
+                        for row in reference.to_dicts()}
+            got = {tuple(row[attr] for attr in subset):
+                   (row["n"], row["total"]) for row in rows}
+            assert got == expected, subset
 
     def test_distributed_matches(self, small_flows, flow_warehouse):
         from repro.distributed import ALL_OPTIMIZATIONS
-        compiled = compile_cube(SQL, small_flows.schema)
-        stitched, runs = compiled.execute(flow_warehouse,
-                                          ALL_OPTIMIZATIONS)
-        assert stitched.multiset_equals(
-            compiled.run_centralized(small_flows))
-        assert len(runs) == 4  # 3 granularities + grand total
+        compiled = lattice_plan(SQL, small_flows.schema)
+        execution = execute_per_cuboid(flow_warehouse, compiled,
+                                       ALL_OPTIMIZATIONS)
+        assert execution.relation.multiset_equals(
+            run_centralized(compiled, small_flows))
+        assert len(execution.runs) == 4  # 3 granularities + grand total
 
     def test_all_marker_rows_present(self, small_flows):
-        compiled = compile_cube(SQL, small_flows.schema)
-        result = compiled.run_centralized(small_flows)
+        compiled = lattice_plan(SQL, small_flows.schema)
+        result = run_centralized(compiled, small_flows)
         rows = {(row["RouterId"], row["DestPort"]): row
                 for row in result.to_dicts()}
         assert (ALL, ALL) in rows
@@ -103,8 +117,8 @@ class TestWarehouseDispatch:
         from repro.warehouse import Warehouse
         warehouse = Warehouse(flow_warehouse)
         result = warehouse.sql(SQL)
-        reference = compile_cube(
-            SQL, small_flows.schema).run_centralized(small_flows)
+        reference = run_centralized(
+            lattice_plan(SQL, small_flows.schema), small_flows)
         assert result.relation.multiset_equals(reference)
         # The lattice runs one scatter for the finest grouping and
         # derives the coarser cuboids coordinator-side (Theorem 1),

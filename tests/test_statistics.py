@@ -1,72 +1,85 @@
-"""Tests for statistics collection and the HyperLogLog sketch."""
+"""Tests for statistics collection, sketched distinct counts and
+group-count estimation."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from repro.relational.relation import Relation
+from repro.relational.schema import Schema
 from repro.relational.statistics import (
-    ColumnStats, HyperLogLog, StatisticsError, collect_stats,
-    estimate_group_count, merge_stats)
+    ColumnStats, StatisticsError, collect_stats, estimate_group_count,
+    merge_stats)
+from repro.relational.types import DataType
+
+#: Sketched distinct count of 50,000 customer names, printed by a child
+#: interpreter so each run gets its own ``PYTHONHASHSEED``.
+_SKETCHED_ESTIMATE = """
+import numpy as np
+from repro.relational.relation import Relation
+from repro.relational.schema import Schema
+from repro.relational.statistics import collect_stats
+from repro.relational.types import DataType
+names = np.array([f"Customer#{i:09d}" for i in range(50_000)], dtype=object)
+relation = Relation.from_columns(Schema.of(("name", DataType.STRING)),
+                                 {"name": names})
+stats = collect_stats(relation, use_sketches=True)
+print(repr(stats.column("name").distinct))
+"""
+
+
+def sketched_distinct(values, precision=11):
+    """``collect_stats``' HyperLogLog estimate for one column."""
+    values = np.asarray(values)
+    dtype = DataType.STRING if values.dtype == object else \
+        DataType.FLOAT64 if values.dtype.kind == "f" else DataType.INT64
+    relation = Relation.from_columns(Schema.of(("x", dtype)), {"x": values})
+    stats = collect_stats(relation, use_sketches=True, precision=precision)
+    assert not stats.column("x").exact
+    return stats.column("x").distinct
 
 
 class TestHyperLogLog:
+    """The sketched distinct counts (the one HLL, repro.sketches)."""
+
     @pytest.mark.parametrize("true_count", [100, 5_000, 50_000])
     def test_estimate_within_tolerance(self, true_count):
-        sketch = HyperLogLog(precision=11)
         rng = np.random.default_rng(7)
         values = rng.permutation(true_count * 3)[:true_count]
-        # add duplicates too: cardinality must not change
-        sketch.add_array(values)
-        sketch.add_array(values[: true_count // 2])
-        estimate = sketch.estimate()
-        assert estimate == pytest.approx(true_count, rel=0.08)
+        # duplicates too: cardinality must not change
+        values = np.concatenate([values, values[: true_count // 2]])
+        assert sketched_distinct(values) == pytest.approx(true_count,
+                                                          rel=0.08)
 
     def test_small_range_linear_counting(self):
-        sketch = HyperLogLog(precision=11)
-        sketch.add_array(np.arange(10))
-        assert sketch.estimate() == pytest.approx(10, abs=2)
+        assert sketched_distinct(np.arange(10)) == pytest.approx(10, abs=2)
 
     def test_empty_sketch(self):
-        assert HyperLogLog().estimate() == 0.0
+        relation = Relation.from_columns(
+            Schema.of(("x", DataType.INT64)),
+            {"x": np.array([], dtype=np.int64)})
+        stats = collect_stats(relation, use_sketches=True)
+        assert stats.column("x").distinct == 0.0
 
     def test_strings(self):
-        sketch = HyperLogLog()
         values = np.array([f"Customer#{i:09d}" for i in range(2_000)],
                           dtype=object)
-        sketch.add_array(values)
-        assert sketch.estimate() == pytest.approx(2_000, rel=0.08)
+        assert sketched_distinct(values) == pytest.approx(2_000, rel=0.08)
 
     def test_floats(self):
-        sketch = HyperLogLog()
-        sketch.add_array(np.linspace(0.0, 1.0, 3_000))
-        assert sketch.estimate() == pytest.approx(3_000, rel=0.08)
-
-    def test_merge_equals_union(self):
-        rng = np.random.default_rng(3)
-        left_values = rng.integers(0, 10_000, size=8_000)
-        right_values = rng.integers(5_000, 15_000, size=8_000)
-        left = HyperLogLog()
-        right = HyperLogLog()
-        left.add_array(left_values)
-        right.add_array(right_values)
-        merged = left.merge(right)
-        true_union = len(set(left_values.tolist())
-                         | set(right_values.tolist()))
-        assert merged.estimate() == pytest.approx(true_union, rel=0.08)
-
-    def test_merge_precision_mismatch(self):
-        with pytest.raises(StatisticsError):
-            HyperLogLog(10).merge(HyperLogLog(12))
+        values = np.linspace(0.0, 1.0, 3_000)
+        assert sketched_distinct(values) == pytest.approx(3_000, rel=0.08)
 
     def test_bad_precision(self):
-        with pytest.raises(StatisticsError):
-            HyperLogLog(precision=2)
+        with pytest.raises(ValueError, match="precision"):
+            sketched_distinct(np.arange(10), precision=2)
 
     def test_single_add(self):
-        sketch = HyperLogLog()
-        sketch.add(42)
-        sketch.add(42)
-        assert sketch.estimate() == pytest.approx(1, abs=1)
+        assert sketched_distinct(np.array([42, 42])) == \
+            pytest.approx(1, abs=1)
 
 
 class TestCollectStats:
@@ -89,6 +102,18 @@ class TestCollectStats:
         stats = collect_stats(relation, use_sketches=True)
         assert stats.column("g").distinct == pytest.approx(7, abs=2)
         assert not stats.column("g").exact
+
+    def test_sketched_estimate_ignores_hash_seed(self):
+        """The sketch hashes deterministically, not with salted hash()."""
+        estimates = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            completed = subprocess.run(
+                [sys.executable, "-c", _SKETCHED_ESTIMATE], env=env,
+                capture_output=True, text=True, check=True)
+            estimates.add(completed.stdout.strip())
+        assert len(estimates) == 1
+        assert float(estimates.pop()) == pytest.approx(50_000, rel=0.08)
 
     def test_subset_of_columns(self, relation):
         stats = collect_stats(relation, attrs=["v"])

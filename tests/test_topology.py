@@ -227,12 +227,6 @@ class TestTreeExecution:
                       if phase.dispatch}
         assert "tree-scatter" not in dispatches
 
-    def test_streaming_unsupported(self, detail):
-        engine = TreeEngine(partition_round_robin(detail, 4), fanout=2)
-        with pytest.raises(PlanError, match="streaming"):
-            engine.execute(simple_query(), NO_OPTIMIZATIONS,
-                           streaming=True)
-
     def test_from_engine_matches_original(self, detail):
         query = simple_query()
         flat_engine = SkallaEngine(partition_round_robin(detail, 6))
